@@ -27,7 +27,10 @@
 //   --connect-timeout-ms=N   peer dial/mesh deadline          (default 20000)
 //   --json[=PATH]        emit a JSON report (stdout or PATH), including a
 //                        "metrics" block with per-RPC-kind latency
-//                        percentiles (see docs/OBSERVABILITY.md)
+//                        percentiles (see docs/OBSERVABILITY.md) and the
+//                        number of this node's reads whose bytes failed the
+//                        workload's shape check (read_check_failures;
+//                        non-zero makes "consistent" false and exits 1)
 //   --metrics-out=PATH   dump this process's metrics registry in binary
 //                        snapshot form (aggregate with tools/ccm_metrics)
 //   --scrape             hold an extra post-run barrier so the home process
@@ -232,15 +235,21 @@ int main(int argc, char** argv) {
   const bool trace_on = flags.has("runtime-trace-out");
   if (trace_on) cluster.enable_runtime_trace();
 
+  const ccm_bench::ReadCheck check(wl.block_bytes);
+  std::vector<std::uint64_t> failed_reads(drivers, 0);
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   std::size_t local_drivers = 0;
   for (std::size_t d = 0; d < drivers; ++d) {
     if (d % nodes != local) continue;
     ++local_drivers;
-    threads.emplace_back([&, d] { wl.run_driver(cluster, d, local); });
+    threads.emplace_back([&, d] {
+      failed_reads[d] = wl.run_driver(cluster, d, local, check);
+    });
   }
   for (auto& t : threads) t.join();
+  std::uint64_t read_check_failures = 0;
+  for (const std::uint64_t f : failed_reads) read_check_failures += f;
   cluster.barrier(local, kPhaseDone);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -312,7 +321,12 @@ int main(int argc, char** argv) {
   }
 
   int rc = 0;
-  bool consistent = true;
+  bool consistent = read_check_failures == 0;
+  if (!consistent) {
+    std::cerr << "ccm_node " << local << ": " << read_check_failures
+              << " read(s) failed the block shape check\n";
+    rc = 1;
+  }
   if (is_home) {
     // Let the peers finish their final barrier polls and disconnect before
     // tearing the services down under them.
@@ -332,9 +346,9 @@ int main(int argc, char** argv) {
         std::cout << "  storage dump -> " << path << "\n";
       }
     }
-    consistent = cluster.check_consistency();
-    if (!consistent) {
+    if (!cluster.check_consistency()) {
       std::cerr << "ccm_node: home shard consistency BROKEN\n";
+      consistent = false;
       rc = 1;
     }
   }
@@ -351,6 +365,7 @@ int main(int argc, char** argv) {
     j.key("ops_per_second").value(secs > 0 ? local_ops / secs : 0.0);
     j.key("batch").value(cfg.batch_directory);
     j.key("consistent").value(consistent);
+    j.key("read_check_failures").value(read_check_failures);
     j.key("totals").begin_object();
     j.key("local_hits").value(s.local_hits);
     j.key("remote_hits").value(s.remote_hits);

@@ -29,7 +29,11 @@
 //   --dump-storage=PATH  write final storage bytes to PATH (file-id order)
 //   --json[=PATH]        emit a JSON report (stdout or PATH), including a
 //                        "metrics" block with per-RPC-kind latency
-//                        percentiles (see docs/OBSERVABILITY.md)
+//                        percentiles (see docs/OBSERVABILITY.md), the
+//                        number of reads whose bytes failed the workload's
+//                        shape check (read_check_failures; non-zero makes
+//                        "consistent" false), and the process's voluntary
+//                        and involuntary context switches over the run
 //   --faults=SPEC        inject faults from an explicit schedule spec (see
 //                        net::FaultSchedule::parse / docs/FAULTS.md)
 //   --fault-seed=N       inject a generated schedule drawn from seed N
@@ -42,6 +46,8 @@
 //                        a final whole-graph audit gates the exit code
 //   --lockcheck-report=PATH  also append watchdog violations to PATH (a CI
 //                            artifact) before aborting
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -62,6 +68,23 @@
 #include "util/lockcheck.hpp"
 
 using namespace coop;
+
+namespace {
+
+struct ContextSwitches {
+  std::uint64_t voluntary = 0;
+  std::uint64_t involuntary = 0;
+};
+
+/// This process's context switches so far, all threads included.
+ContextSwitches context_switches() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return {static_cast<std::uint64_t>(ru.ru_nvcsw),
+          static_cast<std::uint64_t>(ru.ru_nivcsw)};
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
@@ -156,26 +179,42 @@ int main(int argc, char** argv) {
   wl.seed_files(cluster, vias);
   cluster.reset_stats();
 
+  const ccm_bench::ReadCheck check(wl.block_bytes);
+  std::vector<std::uint64_t> failed_reads(drivers, 0);
+  const ContextSwitches cs0 = context_switches();
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   for (std::size_t d = 0; d < drivers; ++d) {
-    threads.emplace_back([&, d] { wl.run_driver(cluster, d, std::nullopt); });
+    threads.emplace_back([&, d] {
+      failed_reads[d] = wl.run_driver(cluster, d, std::nullopt, check);
+    });
   }
   for (auto& t : threads) t.join();
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  const ContextSwitches cs1 = context_switches();
+  const std::uint64_t voluntary_cs = cs1.voluntary - cs0.voluntary;
+  const std::uint64_t involuntary_cs = cs1.involuntary - cs0.involuntary;
 
   const auto s = cluster.stats();
   const double total_ops = static_cast<double>(drivers) * iters;
-  const bool consistent = cluster.check_consistency();
+  std::uint64_t read_check_failures = 0;
+  for (const std::uint64_t f : failed_reads) read_check_failures += f;
+  const bool consistent =
+      cluster.check_consistency() && read_check_failures == 0;
 
   std::cout << "ccm_stress: " << drivers << " drivers x " << iters
             << " ops over " << nodes << " nodes (" << workers
             << " workers/node), " << files << " files\n"
             << "  elapsed " << util::fixed(secs, 3) << " s, "
             << util::fixed(total_ops / secs, 0) << " ops/s, consistency "
-            << (consistent ? "OK" : "BROKEN") << "\n"
+            << (consistent ? "OK" : "BROKEN") << " (" << read_check_failures
+            << " failed read checks)\n"
+            << "  context switches: " << voluntary_cs << " voluntary, "
+            << involuntary_cs << " involuntary ("
+            << util::fixed(static_cast<double>(voluntary_cs) / total_ops, 2)
+            << " voluntary per op)\n"
             << "  hits: local " << s.local_hits << ", remote "
             << s.remote_hits << ", disk " << s.disk_reads << ", writes "
             << s.writes << ", invalidations " << s.invalidations << "\n"
@@ -234,6 +273,14 @@ int main(int argc, char** argv) {
     j.key("elapsed_seconds").value(secs);
     j.key("ops_per_second").value(total_ops / secs);
     j.key("consistent").value(consistent);
+    j.key("read_check_failures").value(read_check_failures);
+    // Process-wide getrusage deltas over the measured run.
+    j.key("context_switches").begin_object();
+    j.key("voluntary").value(voluntary_cs);
+    j.key("involuntary").value(involuntary_cs);
+    j.key("voluntary_per_op").value(static_cast<double>(voluntary_cs) /
+                                    total_ops);
+    j.end_object();
     j.key("totals").begin_object();
     j.key("local_hits").value(s.local_hits);
     j.key("remote_hits").value(s.remote_hits);

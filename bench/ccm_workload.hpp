@@ -15,11 +15,20 @@
 // cache state, or which node served the op. Reads and invalidations touch
 // caches, not storage. Hence the final bytes are a pure function of the
 // workload parameters.
+//
+// Read check: every seeded or written block is a run of pattern(), so each
+// block a read returns must have the shape b[j] == (b[0] + 7*j) mod 256,
+// whatever mix of writes it saw — a torn, misplaced or stale-buffer block
+// breaks it. run_driver checks every read against that shape (and the file
+// against its length) and returns the number of reads that failed.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,6 +46,42 @@ inline std::vector<std::byte> pattern(std::size_t n, std::uint8_t seed) {
   }
   return out;
 }
+
+/// The 256 block-sized patterns, one per first byte, so a returned block is
+/// checked with one memcmp — a per-byte compare is slow enough to show in
+/// the driver's throughput.
+class ReadCheck {
+ public:
+  explicit ReadCheck(std::uint32_t block_bytes) : block_bytes_(block_bytes) {
+    table_.reserve(256 * std::size_t{block_bytes});
+    for (unsigned first = 0; first < 256; ++first) {
+      const auto block =
+          pattern(block_bytes, static_cast<std::uint8_t>(first));
+      table_.insert(table_.end(), block.begin(), block.end());
+    }
+  }
+
+  /// True when `file` is `file_bytes` long and every block has the
+  /// pattern() shape.
+  [[nodiscard]] bool ok(std::span<const std::byte> file,
+                        std::uint64_t file_bytes) const {
+    if (file.size() != file_bytes) return false;
+    for (std::size_t at = 0; at < file.size(); at += block_bytes_) {
+      const std::size_t len = std::min<std::size_t>(block_bytes_,
+                                                    file.size() - at);
+      const auto first = std::to_integer<std::size_t>(file[at]);
+      if (std::memcmp(file.data() + at, table_.data() + first * block_bytes_,
+                      len) != 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::size_t block_bytes_;
+  std::vector<std::byte> table_;  // 256 blocks, indexed by first byte
+};
 
 struct Workload {
   std::size_t nodes = 4;
@@ -83,11 +128,14 @@ struct Workload {
     }
   }
 
-  /// Runs driver `d`'s operation stream against `cluster`. `force_via`
+  /// Runs driver `d`'s operation stream against `cluster` and returns how
+  /// many of its reads failed `check` (see the file comment). `force_via`
   /// pins every op to one hosted node (multi-process mode) — the RNG still
   /// draws the via so the stream stays aligned with the in-process run.
-  void run_driver(coop::ccm::CcmCluster& cluster, std::size_t d,
-                  std::optional<coop::cache::NodeId> force_via) const {
+  std::uint64_t run_driver(coop::ccm::CcmCluster& cluster, std::size_t d,
+                           std::optional<coop::cache::NodeId> force_via,
+                           const ReadCheck& check) const {
+    std::uint64_t read_check_failures = 0;
     coop::sim::Rng rng(seed * 1000 + d);
     for (int i = 0; i < iters; ++i) {
       const auto f =
@@ -105,10 +153,11 @@ struct Workload {
                               static_cast<std::uint8_t>(f + i)));
       } else if (roll < write_pct + invalidate_pct) {
         cluster.invalidate(f);
-      } else {
-        cluster.read(via, f);
+      } else if (!check.ok(cluster.read(via, f), file_bytes())) {
+        ++read_check_failures;
       }
     }
+    return read_check_failures;
   }
 };
 

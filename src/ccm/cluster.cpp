@@ -65,9 +65,10 @@ class OpSpan {
   const char* name_ = "";
 };
 
-/// RAII handler span on a protocol thread: adopts the incoming message's
-/// trace identity so the slice joins the sender's trace (its parent is the
-/// sender's rpc-client span, which draws the cross-process flow arrow).
+/// RAII handler span, on a protocol thread or the caller's: adopts the
+/// incoming message's trace identity so the slice joins the sender's trace
+/// (its parent is the sender's rpc-client span, which draws the
+/// cross-process flow arrow), and restores the thread's own on exit.
 class HandlerSpan {
  public:
   HandlerSpan(obs::RuntimeSpanLog& log, std::uint16_t node,
@@ -161,8 +162,16 @@ CcmCluster::CcmCluster(const CcmConfig& config,
     mailboxes_[n] = std::make_unique<Mailbox<Task>>(
         1024, "ccm.tasks[" + std::to_string(n) + "]");
   }
+  // Every hosted node is bound before any worker can send it a request. A
+  // transport that accepts runs the node's handler on each caller's thread;
+  // only a node whose transport declined gets a protocol thread.
   for (const cache::NodeId n : local_nodes_) {
-    protocol_threads_.emplace_back([this, n] { protocol_loop(n); });
+    if (!transport_->serve_direct(
+            n, [this, n](net::Envelope& env) { return serve(n, env); })) {
+      protocol_threads_.emplace_back([this, n] { protocol_loop(n); });
+    }
+  }
+  for (const cache::NodeId n : local_nodes_) {
     for (std::size_t w = 0; w < config_.workers_per_node; ++w) {
       workers_.emplace_back([this, n] { worker_loop(n); });
     }
@@ -171,7 +180,8 @@ CcmCluster::CcmCluster(const CcmConfig& config,
 
 CcmCluster::~CcmCluster() {
   // Workers first (they may have RPCs in flight that need the protocol
-  // threads alive), then the transport, which ends the protocol loops.
+  // threads alive), then the transport, which ends the protocol loops and
+  // fails any later direct call.
   for (auto& mb : mailboxes_) {
     if (mb) mb->close();
   }
@@ -206,18 +216,20 @@ void CcmCluster::worker_loop(cache::NodeId node) {
   }
 }
 
+net::Envelope CcmCluster::serve(cache::NodeId node, net::Envelope& env) {
+  HandlerSpan span(span_log_, node, env.msg);
+  Reply reply = handle_message(node, env);
+  net::Envelope out;
+  out.msg = reply.msg;
+  out.seq = env.seq;  // correlates with the caller blocked in call()
+  out.data = std::move(reply.data);
+  return out;
+}
+
 void CcmCluster::protocol_loop(cache::NodeId node) {
   while (auto env = transport_->receive(node)) {
-    Reply reply;
-    {
-      HandlerSpan span(span_log_, node, env->msg);
-      reply = handle_message(node, *env);
-    }
+    net::Envelope out = serve(node, *env);
     if (env->seq == 0) continue;  // one-way: nobody waits for the answer
-    net::Envelope out;
-    out.msg = reply.msg;
-    out.seq = env->seq;  // correlates with the caller blocked in call()
-    out.data = std::move(reply.data);
     transport_->post(std::move(out));
   }
 }
@@ -564,7 +576,7 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
     default:
       // Reply kinds are routed to call() waiters by the transport; anything
       // else here is a protocol error.
-      assert(false && "unexpected message kind at a node protocol thread");
+      assert(false && "unexpected message kind at a node handler");
       return {proto::Message::invalidate_ack(self, msg.from), nullptr};
   }
 }

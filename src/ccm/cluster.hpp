@@ -11,10 +11,12 @@
 // cluster-wide master map is reached through a DirectoryClient — a local
 // proto::DirectoryService in-process, kDir* RPCs to the node-0 process in a
 // multi-process cluster. Cross-node traffic travels as proto::Message
-// envelopes through a pluggable net::Transport (in-process mailboxes or
-// length-prefixed frames on TCP sockets) to a dedicated protocol thread per
-// node — the exact message vocabulary the simulator charges with the paper's
-// Table-1 latencies (see docs/MIDDLEWARE.md for the correspondence).
+// envelopes through a pluggable net::Transport — the exact message
+// vocabulary the simulator charges with the paper's Table-1 latencies (see
+// docs/MIDDLEWARE.md for the correspondence). In-process, the transport runs
+// each request's handler on the sending worker's thread; over TCP (or behind
+// a decorator that declines direct binding) the request is queued for the
+// target node's protocol thread.
 //
 // Concurrency model:
 //  * A read that only touches blocks resident at its own node takes that
@@ -22,10 +24,12 @@
 //    lock. Per-shard acquisition/contention counters in stats() demonstrate
 //    the isolation.
 //  * Cross-node operations (peer fetch, master forward, invalidation, write
-//    ownership transfer) are RPCs through the transport; the receiving
-//    protocol thread works under its own shard lock plus the directory (a
-//    strict shard → directory lock order, with the directory a leaf).
-//    Workers never hold a shard lock while waiting on an RPC reply.
+//    ownership transfer) are RPCs through the transport; the handler works
+//    under the target's shard lock plus the directory (a strict shard →
+//    directory lock order, with the directory a leaf). Workers never hold a
+//    shard lock across an RPC, so a worker running a peer's handler on the
+//    direct path holds at most that one shard lock — the lock-order watchdog
+//    reports "direct-call-unlocked" otherwise.
 //  * In a multi-process cluster the directory "leaf" is itself an RPC to the
 //    home process. The wait-for graph stays acyclic: only the home process
 //    hosts the directory and storage, its handlers never block on another
@@ -336,16 +340,23 @@ class CcmCluster {
   /// Worker-thread loop for node `node` (serves read/write tasks).
   void worker_loop(cache::NodeId node);
 
-  /// Protocol-thread loop for node `node` (serves peer messages). Handlers
-  /// take this node's shard lock and the directory only — they never block
-  /// on another hosted node, so cross-node request chains cannot deadlock.
+  /// Serves one request addressed to hosted node `node` and returns the
+  /// reply envelope: the handler span, handle_message, and the reply's seq.
+  /// Both delivery paths run it — the transport's direct binding on the
+  /// caller's thread, protocol_loop on the node's own thread. Handlers take
+  /// this node's shard lock and the directory only — they never block on
+  /// another hosted node, so cross-node request chains cannot deadlock.
+  net::Envelope serve(cache::NodeId node, net::Envelope& env);
+  /// Protocol-thread loop for a node whose transport declined direct
+  /// binding: receive, serve, post the reply.
   void protocol_loop(cache::NodeId node);
   Reply handle_message(cache::NodeId self, net::Envelope& env);
   /// Answers kDir* RPCs against the in-process DirectoryService (home only).
   Reply handle_directory(cache::NodeId self, const proto::Message& msg);
 
-  /// Sends `msg` to its destination's protocol thread and awaits the reply.
-  /// Callers must not hold any shard lock.
+  /// Sends `msg` to its destination node and awaits the reply; in-process
+  /// the destination's handler runs on this thread. Callers must not hold
+  /// any lock.
   Reply rpc(const proto::Message& msg, BlockPtr data = nullptr,
             std::uint64_t epoch = 0);
 
@@ -497,6 +508,7 @@ class CcmCluster {
 
   std::vector<std::unique_ptr<Mailbox<Task>>> mailboxes_;
   std::vector<std::thread> workers_;
+  /// Only for nodes whose transport declined serve_direct().
   std::vector<std::thread> protocol_threads_;
 };
 

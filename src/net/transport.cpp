@@ -5,6 +5,9 @@
 #include <stdexcept>
 #include <thread>
 
+#include "util/audit.hpp"
+#include "util/lockcheck.hpp"
+
 namespace coop::net {
 
 // The telemetry registry indexes RPC slots by the raw kind byte; make sure
@@ -64,7 +67,7 @@ Envelope call_with_retry(Transport& transport, const Envelope& env,
 
 InProcTransport::InProcTransport(std::size_t nodes, std::size_t capacity,
                                  std::chrono::milliseconds call_timeout)
-    : call_timeout_(call_timeout) {
+    : call_timeout_(call_timeout), handlers_(nodes), bound_(nodes) {
   if (nodes == 0) throw std::invalid_argument("InProcTransport: 0 nodes");
   mailboxes_.reserve(nodes);
   for (std::size_t n = 0; n < nodes; ++n) {
@@ -73,11 +76,58 @@ InProcTransport::InProcTransport(std::size_t nodes, std::size_t capacity,
   }
 }
 
+bool InProcTransport::serve_direct(cache::NodeId node, Handler handler) {
+  if (node >= mailboxes_.size()) {
+    throw std::invalid_argument("InProcTransport: bad local node");
+  }
+  util::ScopedLock lock(mu_);
+  if (closed_.load(std::memory_order_relaxed) ||
+      bound_[node].load(std::memory_order_relaxed)) {
+    return false;
+  }
+  handlers_[node] = std::move(handler);
+  bound_[node].store(true, std::memory_order_release);
+  return true;
+}
+
+Envelope InProcTransport::serve_inline(Envelope& env) {
+  // The handler takes the target's locks on this thread; a caller already
+  // holding one of them (its own shard lock, say) could self-deadlock.
+  if (util::lockcheck::enabled()) {
+    if (const std::size_t held = util::lockcheck::held_count(); held != 0) {
+      audit::report("direct-call-unlocked",
+                    std::string("direct ") + proto::kind_name(env.msg.kind) +
+                        " from node " + std::to_string(env.msg.from) +
+                        " to node " + std::to_string(env.msg.to) +
+                        " while holding " + std::to_string(held) +
+                        " registered lock(s)");
+    }
+  }
+  sent_.fetch_add(1, std::memory_order_relaxed);
+  received_.fetch_add(1, std::memory_order_relaxed);
+  return handlers_[env.msg.to](env);
+}
+
 Envelope InProcTransport::call_impl(Envelope env) {
+  if (env.msg.to >= mailboxes_.size()) {
+    throw std::invalid_argument("InProcTransport: bad destination node");
+  }
+  if (bound_[env.msg.to].load(std::memory_order_acquire)) {
+    if (closed_.load(std::memory_order_acquire)) {
+      throw TransportError(TransportError::Kind::kShutdown,
+                           "transport is shut down");
+    }
+    Envelope reply = serve_inline(env);
+    // The reply counts as a second delivered envelope, as on the queued path.
+    sent_.fetch_add(1, std::memory_order_relaxed);
+    received_.fetch_add(1, std::memory_order_relaxed);
+    rpcs_.fetch_add(1, std::memory_order_relaxed);
+    return reply;
+  }
   auto pending = std::make_shared<PendingCall>();
   {
     util::ScopedLock lock(mu_);
-    if (closed_) {
+    if (closed_.load(std::memory_order_relaxed)) {
       throw TransportError(TransportError::Kind::kShutdown,
                            "transport is shut down");
     }
@@ -93,11 +143,11 @@ Envelope InProcTransport::call_impl(Envelope env) {
   }
   const auto deadline = std::chrono::steady_clock::now() + call_timeout_;
   util::UniqueLock lock(mu_);
-  while (!pending->done && !closed_) {
+  while (!pending->done && !closed_.load(std::memory_order_relaxed)) {
     if (pending->cv.wait_until(lock, deadline) == std::cv_status::timeout &&
         !pending->done) {
       pending_.erase(seq);
-      ++stats_.rpc_timeouts;
+      rpc_timeouts_.fetch_add(1, std::memory_order_relaxed);
       throw TransportError(TransportError::Kind::kTimeout,
                            "call timed out after " +
                                std::to_string(call_timeout_.count()) + " ms");
@@ -108,7 +158,7 @@ Envelope InProcTransport::call_impl(Envelope env) {
     throw TransportError(TransportError::Kind::kShutdown,
                          "transport is shut down");
   }
-  ++stats_.rpcs;
+  rpcs_.fetch_add(1, std::memory_order_relaxed);
   return std::move(pending->reply);
 }
 
@@ -118,17 +168,17 @@ bool InProcTransport::post(Envelope env) {
   }
   // Zero-copy contract: a payload-bearing envelope always carries its bytes
   // as a shared BlockPtr moved through the mailbox — never a fresh buffer
-  // cloned from the sender's copy (stats_.payload_copies stays 0 by
-  // construction on this path).
+  // cloned from the sender's copy (payload_copies stays 0 by construction
+  // on this path).
   assert(env.msg.bytes == 0 || env.data != nullptr);
   if (proto::is_reply(env.msg.kind) && env.seq != 0) {
     // Complete the caller blocked in call() directly — replies never take
     // the mailbox hop.
+    sent_.fetch_add(1, std::memory_order_relaxed);
+    received_.fetch_add(1, std::memory_order_relaxed);
     std::shared_ptr<PendingCall> pending;
     {
       util::ScopedLock lock(mu_);
-      ++stats_.sent;
-      ++stats_.received;
       const auto it = pending_.find(env.seq);
       if (it == pending_.end()) return false;  // caller gave up (shutdown)
       pending = it->second;
@@ -139,13 +189,16 @@ bool InProcTransport::post(Envelope env) {
     pending->cv.notify_all();
     return true;
   }
-  {
-    util::ScopedLock lock(mu_);
-    ++stats_.sent;
+  if (bound_[env.msg.to].load(std::memory_order_acquire)) {
+    // A one-way request: serve it here and drop the answer, as a protocol
+    // thread does for seq == 0.
+    if (closed_.load(std::memory_order_acquire)) return false;
+    (void)serve_inline(env);
+    return true;
   }
+  sent_.fetch_add(1, std::memory_order_relaxed);
   if (!mailboxes_[env.msg.to]->send(std::move(env))) return false;
-  util::ScopedLock lock(mu_);
-  ++stats_.received;
+  received_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -159,14 +212,18 @@ std::optional<Envelope> InProcTransport::receive(cache::NodeId node) {
 void InProcTransport::close() {
   for (auto& mb : mailboxes_) mb->close();
   util::ScopedLock lock(mu_);
-  closed_ = true;
+  closed_.store(true, std::memory_order_release);
   for (auto& [seq, pending] : pending_) pending->cv.notify_all();
   pending_.clear();
 }
 
 TransportStats InProcTransport::stats() const {
-  util::ScopedLock lock(mu_);
-  return stats_;
+  TransportStats s;
+  s.sent = sent_.load(std::memory_order_relaxed);
+  s.received = received_.load(std::memory_order_relaxed);
+  s.rpcs = rpcs_.load(std::memory_order_relaxed);
+  s.rpc_timeouts = rpc_timeouts_.load(std::memory_order_relaxed);
+  return s;
 }
 
 }  // namespace coop::net

@@ -4,9 +4,10 @@
 // call(), protocol threads pull requests with receive() and answer with
 // post(). Two implementations exist:
 //
-//  * InProcTransport — every node lives in this process; delivery is a
-//    Mailbox<Envelope> hop and payloads are shared by pointer. This is the
-//    original runtime path, unchanged in cost.
+//  * InProcTransport — every node lives in this process. A node bound with
+//    serve_direct() has its handler run on the caller's thread inside
+//    call(); an unbound node is reached by a Mailbox<Envelope> hop to its
+//    protocol thread. Payloads are shared by pointer either way.
 //  * TcpTransport (tcp_transport.hpp) — this process hosts one node; peers
 //    are separate processes reached over length-prefixed frames on real
 //    sockets (127.0.0.1 in the loopback cluster, anything routable in
@@ -16,14 +17,18 @@
 // proto::is_reply() completes the pending call() with the matching seq and
 // is never surfaced through receive(). That keeps protocol threads free to
 // block on their own outbound RPCs (a remote directory claim, say) while
-// replies for them arrive — the receive path and the wait path never share a
-// thread.
+// replies for them arrive: on the queued path a protocol thread never waits
+// on a reply that only it could deliver. A direct call has no reply to
+// route — the handler's return value is the reply — so the one thing it
+// demands of its caller is to hold no lock the handler might take (checked
+// by the lock-order watchdog as "direct-call-unlocked").
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -127,6 +132,24 @@ class Transport {
   /// False when the destination is closed.
   virtual bool post(Envelope env) = 0;
 
+  /// Serves one request addressed to a locally hosted node and returns its
+  /// reply envelope (the reply's seq is ignored on the direct path).
+  using Handler = std::function<Envelope(Envelope&)>;
+
+  /// Offers to run `handler` for every request addressed to locally hosted
+  /// `node` on the thread that sends it, instead of queuing it for
+  /// receive(). True means accepted: the node needs no protocol thread, and
+  /// callers into it must hold no lock the handler takes. Bind before any
+  /// traffic reaches the node; a node binds at most once. The default
+  /// declines, which keeps the queued path — the right answer for a socket
+  /// transport, and for a decorator whose perturbations act on queued
+  /// posts (FaultyTransport's reply delay and reorder rules).
+  virtual bool serve_direct(cache::NodeId node, Handler handler) {
+    (void)node;
+    (void)handler;
+    return false;
+  }
+
   /// Next *request* envelope addressed to locally-hosted node `node`;
   /// nullopt once the transport is closed and drained.
   virtual std::optional<Envelope> receive(cache::NodeId node) = 0;
@@ -179,8 +202,10 @@ Envelope call_with_retry(Transport& transport, const Envelope& env,
                          const RetryPolicy& policy = {},
                          RetryStats* retry_stats = nullptr);
 
-/// All nodes in one process: per-node request mailboxes (the original
-/// runtime seam) plus a shared pending-reply table for call().
+/// All nodes in one process. A node bound with serve_direct() is served on
+/// the caller's thread — no mailbox, pending-table entry, condition
+/// variable or state lock; an unbound node keeps its request mailbox and
+/// the shared pending-reply table.
 class InProcTransport final : public Transport {
  public:
   explicit InProcTransport(
@@ -189,6 +214,7 @@ class InProcTransport final : public Transport {
 
   bool post(Envelope env) override;
   std::optional<Envelope> receive(cache::NodeId node) override;
+  bool serve_direct(cache::NodeId node, Handler handler) override;
   void close() override;
   [[nodiscard]] TransportStats stats() const override;
 
@@ -204,16 +230,33 @@ class InProcTransport final : public Transport {
     Envelope reply;
   };
 
+  /// Runs a request for bound node env.msg.to on this thread (the caller
+  /// has checked closed_), counting it as one delivered envelope.
+  Envelope serve_inline(Envelope& env);
+
   std::vector<std::unique_ptr<ccm::Mailbox<Envelope>>> mailboxes_;
   const std::chrono::milliseconds call_timeout_;
 
-  mutable util::Mutex mu_{"net.inproc.state"};  // pending table + counters
-  bool closed_ GUARDED_BY(mu_) = false;
+  // Direct handlers by node. handlers_[n] is written once, under mu_,
+  // before bound_[n] is released, and only read after bound_[n] is
+  // acquired true — so callers read it lock-free.
+  std::vector<Handler> handlers_;
+  std::vector<std::atomic<bool>> bound_;
+
+  // Read without mu_ by both paths. closed_ is also stored under mu_, so a
+  // queued caller waiting on its cv cannot miss the shutdown; the counters
+  // are relaxed.
+  std::atomic<bool> closed_{false};
+  std::atomic<std::uint64_t> sent_{0};
+  std::atomic<std::uint64_t> received_{0};
+  std::atomic<std::uint64_t> rpcs_{0};
+  std::atomic<std::uint64_t> rpc_timeouts_{0};
+
+  mutable util::Mutex mu_{"net.inproc.state"};  // pending table, binding
   std::uint64_t next_seq_ GUARDED_BY(mu_) = 1;
   // std::map, not unordered: tiny, and the close() sweep iterates it.
   std::map<std::uint64_t, std::shared_ptr<PendingCall>> pending_
       GUARDED_BY(mu_);
-  TransportStats stats_ GUARDED_BY(mu_);
 };
 
 }  // namespace coop::net

@@ -44,7 +44,8 @@ struct RuntimeSpan {
 };
 
 /// The ambient trace identity of the calling thread: workers set it when an
-/// operation starts, protocol threads adopt it from the incoming message.
+/// operation starts, handlers adopt it from the incoming message (saving and
+/// restoring the caller's when they run on its thread).
 struct TraceContext {
   std::uint64_t trace = 0;
   std::uint64_t span = 0;

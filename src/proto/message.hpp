@@ -225,7 +225,7 @@ struct Message {
 
 /// True for kinds that answer a request (the transport routes these to the
 /// caller blocked in call(); everything else is delivered to the node's
-/// protocol thread).
+/// handler).
 bool is_reply(MsgKind kind);
 
 /// Stable display name of a message kind ("peer-fetch", ...).

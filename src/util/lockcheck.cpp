@@ -192,6 +192,8 @@ void note_release(LockId id) {
   if (it != held.rend()) held.erase(std::next(it).base());
 }
 
+std::size_t held_count() { return held_stack().size(); }
+
 std::size_t audit(const char* context) {
   std::size_t ccm_audit_failures = 0;
   std::string dump;

@@ -58,6 +58,12 @@ void note_acquired(LockId id);
 /// Hook: the calling thread released `id`.
 void note_release(LockId id);
 
+/// Number of registered locks the calling thread holds, as tracked while
+/// the watchdog is enabled (0 on a thread that took none since enabling).
+/// The in-process transport's direct path checks it: a caller holding any
+/// lock across a direct call reports "direct-call-unlocked".
+[[nodiscard]] std::size_t held_count();
+
 /// Audit entry point (always compiled, like the other audit() sweeps):
 /// checks the whole recorded graph for cycles and reports each under
 /// "lock-order-acyclic". Returns the number of violations.

@@ -7,10 +7,12 @@
 #include <fstream>
 #include <cstring>
 #include <thread>
+#include <tuple>
 
 #include "ccm/cluster.hpp"
 #include "ccm/storage.hpp"
 #include "ccm/transport.hpp"
+#include "net/fault.hpp"
 #include "sim/random.hpp"
 
 namespace coop::ccm {
@@ -583,6 +585,76 @@ TEST(CcmCluster, WorksOnRealFiles) {
                         tiny.size()),
             "tiny");
   fs::remove_all(dir);
+}
+
+// ------------------------------------------- direct vs queued delivery ---
+
+struct SingleDriverRun {
+  std::vector<std::byte> storage;
+  cache::CacheStats totals;
+  bool consistent = false;
+};
+
+/// One driver's seeded read/write/invalidate stream on a 4-node cluster
+/// small enough to evict, over `transport` (null: the default in-process
+/// transport). A single driver issues one op at a time, so every policy
+/// decision is a pure function of the stream.
+SingleDriverRun run_single_driver(std::shared_ptr<net::Transport> transport) {
+  constexpr std::size_t kFiles = 24;
+  constexpr std::uint32_t kFileBlocks = 3;
+  auto storage = std::make_shared<BufferStorage>(
+      std::vector<std::uint32_t>(kFiles, kFileBlocks * kBlock));
+  CcmHosting hosting;
+  hosting.transport = std::move(transport);
+  CcmCluster cluster(small_config(4, 8), storage, hosting);
+  sim::Rng rng(2024);
+  for (int i = 0; i < 600; ++i) {
+    const auto f = static_cast<cache::FileId>(rng.uniform_int(kFiles));
+    const auto via = static_cast<cache::NodeId>(rng.uniform_int(4));
+    const std::uint64_t roll = rng.uniform_int(100);
+    if (roll < 20) {
+      cluster.write(via, f, rng.uniform_int(kFileBlocks) * kBlock,
+                    pattern(kBlock, static_cast<std::uint8_t>(i)));
+    } else if (roll < 24) {
+      cluster.invalidate(f);
+    } else {
+      (void)cluster.read(via, f);
+    }
+  }
+  SingleDriverRun run;
+  run.totals = cluster.stats();
+  run.consistent = cluster.check_consistency();
+  for (std::size_t f = 0; f < kFiles; ++f) {
+    std::vector<std::byte> buf(kFileBlocks * kBlock);
+    storage->read(static_cast<cache::FileId>(f), 0, buf);
+    run.storage.insert(run.storage.end(), buf.begin(), buf.end());
+  }
+  return run;
+}
+
+auto totals_of(const cache::CacheStats& s) {
+  return std::tuple(s.local_hits, s.remote_hits, s.disk_reads,
+                    s.forwards_attempted, s.forwards_accepted,
+                    s.master_drops, s.copy_drops, s.hint_misdirects, s.writes,
+                    s.invalidations, s.ownership_migrations);
+}
+
+// The default cluster serves peer requests on the calling worker's thread;
+// behind a fault-free FaultyTransport (which declines direct binding) the
+// same requests take the mailbox hop to each node's protocol thread. The
+// delivery path must not change a single policy decision.
+TEST(CcmCluster, DirectDispatchMatchesQueuedDelivery) {
+  const SingleDriverRun direct = run_single_driver(nullptr);
+  const SingleDriverRun queued =
+      run_single_driver(std::make_shared<net::FaultyTransport>(
+          std::make_shared<net::InProcTransport>(4), net::FaultSchedule{}));
+  EXPECT_EQ(direct.storage, queued.storage);
+  EXPECT_EQ(totals_of(direct.totals), totals_of(queued.totals));
+  EXPECT_TRUE(direct.consistent);
+  EXPECT_TRUE(queued.consistent);
+  // The stream must actually cross nodes, or the comparison is vacuous.
+  EXPECT_GT(direct.totals.remote_hits, 0u);
+  EXPECT_GT(direct.totals.ownership_migrations, 0u);
 }
 
 }  // namespace

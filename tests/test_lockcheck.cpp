@@ -1,7 +1,8 @@
 // Tests for the lock-order watchdog (src/util/lockcheck) and the
 // instrumented mutex wrappers (src/util/mutex.hpp): an ABBA inversion must
 // be detected the moment the second edge is recorded, a consistently
-// ordered workload must stay silent, and the real CcmCluster runtime must
+// ordered workload must stay silent, a direct in-process call made while
+// holding a lock must be reported, and the real CcmCluster runtime must
 // keep its acquisition graph acyclic end to end.
 #include <gtest/gtest.h>
 
@@ -13,6 +14,8 @@
 
 #include "ccm/cluster.hpp"
 #include "ccm/storage.hpp"
+#include "net/transport.hpp"
+#include "proto/message.hpp"
 #include "util/audit.hpp"
 #include "util/lockcheck.hpp"
 #include "util/mutex.hpp"
@@ -188,6 +191,40 @@ TEST_F(LockcheckTest, CountingMutexCountersAreMonotoneAndResettable) {
   m.reset_counts();
   EXPECT_EQ(m.acquired(), 0u);
   EXPECT_EQ(m.contended(), 0u);
+}
+
+// The in-process transport's direct path runs the target's handler on the
+// caller's thread, so a caller holding a lock there could self-deadlock on
+// it. The watchdog reports such a call (and lets it proceed).
+TEST_F(LockcheckTest, DirectCallWhileHoldingALockIsReported) {
+  audit::Recorder rec;
+  net::InProcTransport transport(2);
+  ASSERT_TRUE(transport.serve_direct(1, [](net::Envelope& env) {
+    net::Envelope out;
+    out.msg = proto::Message::barrier_reply(1, env.msg.from, env.msg.count,
+                                            true);
+    return out;
+  }));
+  auto call = [&transport] {
+    net::Envelope req;
+    req.msg = proto::Message::barrier(0, 1, 3);
+    return transport.call(std::move(req));
+  };
+
+  EXPECT_EQ(held_count(), 0u);
+  EXPECT_EQ(call().msg.count, 3u);
+  EXPECT_FALSE(rec.saw("direct-call-unlocked"));
+
+  Mutex held("test.direct.held");
+  {
+    ScopedLock lock(held);
+    EXPECT_EQ(held_count(), 1u);
+    EXPECT_EQ(call().msg.count, 3u);
+  }
+  EXPECT_EQ(held_count(), 0u);
+  ASSERT_TRUE(rec.saw("direct-call-unlocked"));
+  EXPECT_EQ(rec.count(), 1u);
+  EXPECT_NE(rec.violations()[0].detail.find("barrier"), std::string::npos);
 }
 
 // The acceptance test for the runtime's lock discipline: a multi-node

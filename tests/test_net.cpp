@@ -22,6 +22,7 @@
 #include "ccm/remote_storage.hpp"
 #include "ccm/storage.hpp"
 #include "ccm/transport.hpp"
+#include "net/fault.hpp"
 #include "net/frame.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/transport.hpp"
@@ -367,16 +368,22 @@ TEST(Frame, SeededFuzzPoisonsButNeverCrashes) {
 
 // ---------------------------------------------------------- transports ----
 
-/// Serves `transport`'s inbound queue, answering kBarrier with a granted
-/// barrier_reply (echoing seq), until the transport closes.
+/// Answers a kBarrier request at `node` with a granted barrier_reply,
+/// bouncing any payload back.
+net::Envelope echo_reply(cache::NodeId node, const net::Envelope& env) {
+  net::Envelope out;
+  out.msg = proto::Message::barrier_reply(node, env.msg.from, env.msg.count,
+                                          true);
+  out.seq = env.seq;
+  out.data = env.data;
+  return out;
+}
+
+/// Serves `transport`'s inbound queue with echo_reply until the transport
+/// closes.
 void echo_server(net::Transport& transport, cache::NodeId node) {
   while (auto env = transport.receive(node)) {
-    net::Envelope out;
-    out.msg = proto::Message::barrier_reply(node, env->msg.from,
-                                            env->msg.count, true);
-    out.seq = env->seq;
-    out.data = env->data;  // bounce any payload back
-    transport.post(std::move(out));
+    transport.post(echo_reply(node, *env));
   }
 }
 
@@ -391,6 +398,131 @@ TEST(InProcTransport, CallRoundtripAndStats) {
   EXPECT_EQ(t.stats().rpcs, 1u);
   t.close();
   server.join();
+}
+
+TEST(InProcTransport, BoundNodeRunsTheHandlerOnTheCallingThread) {
+  net::InProcTransport t(2);
+  std::thread::id served_on;
+  int served = 0;
+  ASSERT_TRUE(t.serve_direct(1, [&](net::Envelope& env) {
+    served_on = std::this_thread::get_id();
+    ++served;
+    return echo_reply(1, env);
+  }));
+  EXPECT_FALSE(t.serve_direct(1, [](net::Envelope& env) {
+    return echo_reply(1, env);
+  })) << "a node binds at most once";
+
+  net::Envelope req;
+  req.msg = proto::Message::barrier(0, 1, 7);
+  const net::Envelope reply = t.call(std::move(req));
+  EXPECT_EQ(reply.msg.kind, proto::MsgKind::kBarrierReply);
+  EXPECT_EQ(reply.msg.count, 7u);
+  EXPECT_EQ(served_on, std::this_thread::get_id());
+
+  // A one-way request is served on the posting thread too; it has no
+  // receiver to queue for.
+  net::Envelope oneway;
+  oneway.msg = proto::Message::barrier(0, 1, 8);
+  EXPECT_TRUE(t.post(std::move(oneway)));
+  EXPECT_EQ(served, 2);
+}
+
+TEST(InProcTransport, DirectAndQueuedPathsCountTheSame) {
+  constexpr std::uint64_t kCalls = 25;
+  obs::MetricsRegistry queued_metrics, direct_metrics;
+  net::InProcTransport queued(2);
+  queued.set_metrics(&queued_metrics);
+  std::thread server([&] { echo_server(queued, 1); });
+  net::InProcTransport direct(2);
+  direct.set_metrics(&direct_metrics);
+  ASSERT_TRUE(direct.serve_direct(
+      1, [](net::Envelope& env) { return echo_reply(1, env); }));
+
+  for (std::uint64_t i = 0; i < kCalls; ++i) {
+    for (net::Transport* t : {static_cast<net::Transport*>(&queued),
+                              static_cast<net::Transport*>(&direct)}) {
+      net::Envelope req;
+      req.msg = proto::Message::barrier(0, 1, static_cast<std::uint32_t>(i));
+      req.data = net::make_ready_block(std::vector<std::byte>(64));
+      EXPECT_EQ(t->call(std::move(req)).msg.count, i);
+    }
+  }
+  queued.close();
+  server.join();
+
+  const net::TransportStats q = queued.stats();
+  const net::TransportStats d = direct.stats();
+  EXPECT_EQ(d.rpcs, kCalls);
+  EXPECT_EQ(d.rpcs, q.rpcs);
+  EXPECT_EQ(d.sent, q.sent);
+  EXPECT_EQ(d.received, q.received);
+  EXPECT_EQ(d.sent, 2 * kCalls);  // request + reply per round trip
+  EXPECT_EQ(d.payload_copies, 0u);
+  // Both paths pass through Transport::call, so the per-kind RPC samples
+  // are recorded alike.
+  const auto kind = static_cast<std::size_t>(proto::MsgKind::kBarrier);
+  EXPECT_EQ(direct_metrics.snapshot().rpc[kind].calls, kCalls);
+  EXPECT_EQ(queued_metrics.snapshot().rpc[kind].calls, kCalls);
+}
+
+TEST(InProcTransport, DirectCallAfterCloseThrowsShutdown) {
+  net::InProcTransport t(2);
+  ASSERT_TRUE(t.serve_direct(
+      1, [](net::Envelope& env) { return echo_reply(1, env); }));
+  t.close();
+  net::Envelope req;
+  req.msg = proto::Message::barrier(0, 1, 1);
+  try {
+    (void)t.call(std::move(req));
+    FAIL() << "call() on a closed transport must throw";
+  } catch (const net::TransportError& e) {
+    EXPECT_EQ(e.kind(), net::TransportError::Kind::kShutdown);
+  }
+  EXPECT_FALSE(t.serve_direct(
+      0, [](net::Envelope& env) { return echo_reply(0, env); }));
+}
+
+TEST(Transport, FaultyAndTcpTransportsDeclineDirectBinding) {
+  const net::Transport::Handler handler = [](net::Envelope& env) {
+    return echo_reply(env.msg.to, env);
+  };
+  net::FaultyTransport faulty(std::make_shared<net::InProcTransport>(2),
+                              net::FaultSchedule{});
+  EXPECT_FALSE(faulty.serve_direct(1, handler));
+  net::TcpConfig tc;
+  tc.local_node = 0;
+  tc.nodes = 2;
+  net::TcpTransport tcp(tc);
+  EXPECT_FALSE(tcp.serve_direct(0, handler));
+  tcp.close();
+}
+
+// FaultyTransport's reply rules act on the reply post a protocol thread
+// makes, so a cluster behind it must keep the queued path: a delay on
+// peer-fetch replies still fires and is logged.
+TEST(Transport, ReplyDelayRuleFiresBehindFaultyTransport) {
+  auto faulty = std::make_shared<net::FaultyTransport>(
+      std::make_shared<net::InProcTransport>(2),
+      net::FaultSchedule::parse("delay:kind=peer-fetch-reply,ms=1"));
+  ccm::CcmConfig cfg;
+  cfg.nodes = 2;
+  cfg.block_bytes = 4096;
+  cfg.capacity_bytes = 16 * 4096;
+  ccm::CcmHosting hosting;
+  hosting.transport = faulty;
+  auto storage = std::make_shared<ccm::BufferStorage>(
+      std::vector<std::uint32_t>(2, 2 * 4096));
+  {
+    ccm::CcmCluster cluster(cfg, storage, hosting);
+    (void)cluster.read(0, 0);  // node 0 masters file 0
+    (void)cluster.read(1, 0);  // node 1 fetches it from node 0
+  }
+  const auto events = faulty->events();
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.front().action, net::FaultAction::kDelay);
+  EXPECT_EQ(events.front().kind, proto::MsgKind::kPeerFetchReply);
+  EXPECT_GE(faulty->stats().injected_delays, 1u);
 }
 
 TEST(TcpTransport, PairConnectCallAndPayloadRoundtrip) {
