@@ -222,6 +222,12 @@ struct PresetParam {
   SystemKind system;
 };
 
+// ctest names each case after this text; the default byte dump would carry
+// the preset pointer and change with every address-space layout.
+void PrintTo(const PresetParam& p, std::ostream* os) {
+  *os << p.preset << '/' << to_string(p.system);
+}
+
 class PresetSmoke : public testing::TestWithParam<PresetParam> {};
 
 TEST_P(PresetSmoke, ServesTruncatedPreset) {
