@@ -19,7 +19,8 @@
 //   --node=I             this process's node id               (required)
 //   --nodes=N            cluster size                         (default 4)
 //   --port-base=P        node i listens on P+i                (default 37100)
-//   --blocks-per-node, --files, --file-blocks, --workers, --drivers,
+//   --workers=N          max concurrent operations per node   (default 2)
+//   --blocks-per-node, --files, --file-blocks, --drivers,
 //   --iters, --write-pct, --invalidate-pct, --seed, --policy, --directory,
 //   --batch, --deterministic-writes   as in ccm_stress (pass --batch to
 //                        every process alike)

@@ -2,7 +2,7 @@
 // mixed read/write/invalidate workload and reports throughput plus the
 // per-shard lock-contention counters that motivated sharding the runtime out
 // of its old global cluster lock. The interesting number is the contention
-// rate per shard: with one lock per node it stays low even with every worker
+// rate per shard: with one lock per node it stays low even with every driver
 // hammering a shared file set, where a single global lock saturates.
 //
 // Flags:
@@ -10,7 +10,7 @@
 //   --blocks-per-node=N  cache capacity per node, blocks  (default 64)
 //   --files=N            file count                       (default 48)
 //   --file-blocks=N      blocks per file                  (default 4)
-//   --workers=N          worker threads per node          (default 2)
+//   --workers=N          max concurrent operations per node (default 2)
 //   --drivers=N          client driver threads            (default nodes)
 //   --iters=N            operations per driver            (default 2000)
 //   --write-pct=P        % of ops that write              (default 20)
@@ -205,8 +205,8 @@ int main(int argc, char** argv) {
       cluster.check_consistency() && read_check_failures == 0;
 
   std::cout << "ccm_stress: " << drivers << " drivers x " << iters
-            << " ops over " << nodes << " nodes (" << workers
-            << " workers/node), " << files << " files\n"
+            << " ops over " << nodes << " nodes (at most " << workers
+            << " concurrent ops/node), " << files << " files\n"
             << "  elapsed " << util::fixed(secs, 3) << " s, "
             << util::fixed(total_ops / secs, 0) << " ops/s, consistency "
             << (consistent ? "OK" : "BROKEN") << " (" << read_check_failures

@@ -114,7 +114,7 @@ BENCHMARK(BM_ClusterCacheAccess)->Arg(0)->Arg(1)->ArgNames({"nem"});
 
 void BM_MiddlewareRead(benchmark::State& state) {
   // End-to-end read latency through the threaded runtime (warm cache:
-  // policy transition + byte copy; the mutex and mailbox are on the path).
+  // policy transition + byte copy under the shard lock, on this thread).
   std::vector<std::uint32_t> sizes(64, 16 * 1024);
   auto storage = std::make_shared<ccm::MemStorage>(std::move(sizes));
   ccm::CcmConfig cfg;

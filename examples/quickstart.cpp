@@ -24,7 +24,8 @@ int main() {
   std::vector<std::uint32_t> sizes(16, 64 * 1024);
   auto storage = std::make_shared<ccm::MemStorage>(std::move(sizes));
 
-  // 3. Start the cluster (node worker threads spin up here).
+  // 3. Start the cluster. It starts no threads of its own: every read below
+  //    runs on this thread.
   ccm::CcmCluster cluster(config, storage);
 
   // 4. Read through any node; the middleware finds the bytes wherever they

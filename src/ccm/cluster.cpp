@@ -28,7 +28,21 @@ cache::CoopCacheConfig to_cache_config(const CcmConfig& c) {
 /// Bounded directory-race retries before falling back to an uncached read.
 constexpr int kAcquireAttempts = 64;
 
-/// RAII root span for one worker operation: mints a fresh trace id, makes it
+/// Holds one of a node's workers_per_node operation slots for its scope.
+class OpSlot {
+ public:
+  explicit OpSlot(std::counting_semaphore<>& slots) : slots_(slots) {
+    slots_.acquire();
+  }
+  ~OpSlot() { slots_.release(); }
+  OpSlot(const OpSlot&) = delete;
+  OpSlot& operator=(const OpSlot&) = delete;
+
+ private:
+  std::counting_semaphore<>& slots_;
+};
+
+/// RAII root span for one client operation: mints a fresh trace id, makes it
 /// the thread's ambient context (rpc() stamps it into outgoing messages),
 /// and records the op slice on destruction. No-op while tracing is off.
 class OpSpan {
@@ -116,9 +130,12 @@ CcmCluster::CcmCluster(const CcmConfig& config,
     : config_(config), storage_(std::move(storage)) {
   if (!storage_) throw std::invalid_argument("CcmCluster: null storage");
   if (config_.nodes == 0) throw std::invalid_argument("CcmCluster: 0 nodes");
-  if (config_.workers_per_node == 0) {
-    throw std::invalid_argument("CcmCluster: 0 workers per node");
+  if (config_.workers_per_node == 0 ||
+      config_.workers_per_node >
+          static_cast<std::size_t>(std::counting_semaphore<>::max())) {
+    throw std::invalid_argument("CcmCluster: workers_per_node out of range");
   }
+  writable_ = dynamic_cast<WritableStorage*>(storage_.get());
 
   transport_ = hosting.transport
                    ? std::move(hosting.transport)
@@ -156,36 +173,24 @@ CcmCluster::CcmCluster(const CcmConfig& config,
 
   const cache::CoopCacheConfig cc = to_cache_config(config_);
   shards_.resize(config_.nodes);
-  mailboxes_.resize(config_.nodes);
   for (const cache::NodeId n : local_nodes_) {
-    shards_[n] = std::make_unique<Shard>(n, cc);
-    mailboxes_[n] = std::make_unique<Mailbox<Task>>(
-        1024, "ccm.tasks[" + std::to_string(n) + "]");
+    shards_[n] = std::make_unique<Shard>(n, cc, config_.workers_per_node);
   }
-  // Every hosted node is bound before any worker can send it a request. A
-  // transport that accepts runs the node's handler on each caller's thread;
-  // only a node whose transport declined gets a protocol thread.
+  // Every hosted node is bound before the constructor returns, so before any
+  // caller can send it a request. A transport that accepts runs the node's
+  // handler on each caller's thread; only a node whose transport declined
+  // gets a protocol thread.
   for (const cache::NodeId n : local_nodes_) {
     if (!transport_->serve_direct(
             n, [this, n](net::Envelope& env) { return serve(n, env); })) {
       protocol_threads_.emplace_back([this, n] { protocol_loop(n); });
     }
   }
-  for (const cache::NodeId n : local_nodes_) {
-    for (std::size_t w = 0; w < config_.workers_per_node; ++w) {
-      workers_.emplace_back([this, n] { worker_loop(n); });
-    }
-  }
 }
 
 CcmCluster::~CcmCluster() {
-  // Workers first (they may have RPCs in flight that need the protocol
-  // threads alive), then the transport, which ends the protocol loops and
-  // fails any later direct call.
-  for (auto& mb : mailboxes_) {
-    if (mb) mb->close();
-  }
-  for (auto& t : workers_) t.join();
+  // Closing the transport ends the protocol loops and fails any later
+  // direct call.
   transport_->close();
   for (auto& t : protocol_threads_) t.join();
 }
@@ -197,23 +202,6 @@ CcmCluster::Shard& CcmCluster::shard_at(cache::NodeId via) const {
                                 " is hosted by another process");
   }
   return *shards_[via];
-}
-
-void CcmCluster::worker_loop(cache::NodeId node) {
-  auto& mailbox = *mailboxes_[node];
-  while (auto task = mailbox.receive()) {
-    try {
-      if (task->kind == Task::Kind::kWrite) {
-        execute_write(node, task->file, task->offset, task->write_data);
-        task->promise.set_value({});
-      } else {
-        task->promise.set_value(
-            execute_read(node, task->file, task->offset, task->length));
-      }
-    } catch (...) {
-      task->promise.set_exception(std::current_exception());
-    }
-  }
 }
 
 net::Envelope CcmCluster::serve(cache::NodeId node, net::Envelope& env) {
@@ -287,63 +275,42 @@ std::future<std::vector<std::byte>> CcmCluster::read_async(
     cache::NodeId via, cache::FileId file) {
   shard_at(via);
   if (file >= storage_->file_count()) throw std::out_of_range("bad file id");
-  Task task;
-  task.file = file;
-  task.offset = 0;
-  task.length = storage_->file_size(file);
-  auto future = task.promise.get_future();
-  if (!mailboxes_[via]->send(std::move(task))) {
-    throw std::runtime_error("CcmCluster: node is shut down");
-  }
-  return future;
+  return std::async(std::launch::async,
+                    [this, via, file] { return read(via, file); });
 }
 
 std::vector<std::byte> CcmCluster::read(cache::NodeId via,
                                         cache::FileId file) {
-  return read_async(via, file).get();
+  shard_at(via);
+  if (file >= storage_->file_count()) throw std::out_of_range("bad file id");
+  return read_range(via, file, 0, storage_->file_size(file));
 }
 
 std::vector<std::byte> CcmCluster::read_range(cache::NodeId via,
                                               cache::FileId file,
                                               std::uint64_t offset,
                                               std::uint64_t length) {
-  shard_at(via);
+  Shard& sh = shard_at(via);
   if (file >= storage_->file_count()) throw std::out_of_range("bad file id");
   if (offset + length > storage_->file_size(file)) {
     throw std::out_of_range("range beyond end of file");
   }
-  Task task;
-  task.file = file;
-  task.offset = offset;
-  task.length = length;
-  auto future = task.promise.get_future();
-  if (!mailboxes_[via]->send(std::move(task))) {
-    throw std::runtime_error("CcmCluster: node is shut down");
-  }
-  return future.get();
+  const OpSlot slot(sh.admission);
+  return execute_read(via, file, offset, length);
 }
 
 void CcmCluster::write(cache::NodeId via, cache::FileId file,
                        std::uint64_t offset, std::span<const std::byte> data) {
-  shard_at(via);
+  Shard& sh = shard_at(via);
   if (file >= storage_->file_count()) throw std::out_of_range("bad file id");
   if (offset + data.size() > storage_->file_size(file)) {
     throw std::out_of_range("write beyond end of file");
   }
-  if (dynamic_cast<WritableStorage*>(storage_.get()) == nullptr) {
+  if (writable_ == nullptr) {
     throw std::logic_error("CcmCluster::write requires a WritableStorage");
   }
-  Task task;
-  task.kind = Task::Kind::kWrite;
-  task.file = file;
-  task.offset = offset;
-  task.length = data.size();
-  task.write_data.assign(data.begin(), data.end());
-  auto future = task.promise.get_future();
-  if (!mailboxes_[via]->send(std::move(task))) {
-    throw std::runtime_error("CcmCluster: node is shut down");
-  }
-  future.get();
+  const OpSlot slot(sh.admission);
+  execute_write(via, file, offset, data);
 }
 
 std::uint32_t CcmCluster::block_bytes_of(std::uint64_t file_bytes,
@@ -540,13 +507,12 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
 
     case proto::MsgKind::kStorageWrite: {
       assert(self == home_);
-      auto* writable = dynamic_cast<WritableStorage*>(storage_.get());
-      if (writable == nullptr) {
+      if (writable_ == nullptr) {
         throw std::logic_error("kStorageWrite against a read-only storage");
       }
       assert(env.data != nullptr);
       env.data->wait_ready();
-      writable->write(msg.block.file, msg.age, env.data->bytes);
+      writable_->write(msg.block.file, msg.age, env.data->bytes);
       return {proto::Message::storage_ack(self, msg.from, msg.block.file),
               nullptr};
     }
@@ -816,7 +782,7 @@ CcmCluster::BlockPtr CcmCluster::acquire_block(
       util::UniqueLock lock(sh.mu);
       metrics_.record_lock_wait(obs::runtime_now_ns() - lw1);
       if (const auto it = sh.store.find(block); it != sh.store.end()) {
-        // A sibling worker cached the block while we fetched.
+        // Another operation via this node cached it while we fetched.
         sh.state.touch(block, tick());
         ++sh.state.stats().remote_hits;
         metrics_.incr(obs::RtCounter::kPeerHit);
@@ -1076,7 +1042,7 @@ void CcmCluster::acquire_run(
       make_room_locked(lock, node,
                        static_cast<std::uint32_t>(end - at));
       // make_room may bounce the lock to ship a forward: re-check the store
-      // before claiming (a sibling worker may have landed these blocks).
+      // before claiming (another operation may have landed these blocks).
       std::vector<std::size_t> want;
       for (std::size_t j = at; j < end; ++j) {
         Pending& p = pending[to_claim[j]];
@@ -1165,7 +1131,7 @@ void CcmCluster::acquire_run(
         Pending& p = pending[fetched[j]];
         const cache::BlockId block{file, p.index};
         if (const auto it = sh.store.find(block); it != sh.store.end()) {
-          // A sibling worker cached the block while we fetched.
+          // Another operation via this node cached it while we fetched.
           sh.state.touch(block, tick());
           ++sh.state.stats().remote_hits;
           metrics_.incr(obs::RtCounter::kPeerHit);
@@ -1264,7 +1230,7 @@ std::vector<std::byte> CcmCluster::execute_read(cache::NodeId node,
     }
   }
 
-  // Fault in missing blocks from Storage on this worker thread, outside all
+  // Fault in missing blocks from Storage on this thread, outside all
   // locks. Concurrent readers of the same block wait on its ready cv.
   for (auto& [block, data] : to_read) {
     const std::uint32_t bytes = block_bytes_of(file_bytes, block.index);
@@ -1313,8 +1279,7 @@ void CcmCluster::execute_write(cache::NodeId node, cache::FileId file,
   metrics_.incr(obs::RtCounter::kWriteOp);
   const std::uint64_t op0 = obs::runtime_now_ns();
   if (data.empty()) return;
-  auto* writable = dynamic_cast<WritableStorage*>(storage_.get());
-  assert(writable != nullptr);  // checked at the API boundary
+  assert(writable_ != nullptr);  // checked at the API boundary
 
   const std::uint64_t file_bytes = storage_->file_size(file);
   const std::uint32_t first_block =
@@ -1336,7 +1301,7 @@ void CcmCluster::execute_write(cache::NodeId node, cache::FileId file,
   // persistent master. Read-modify-write bases below stay correct either
   // way: re-applying the written slice over post-write storage bytes is
   // idempotent.
-  writable->write(file, offset, data);
+  writable_->write(file, offset, data);
 
   // One entry per affected block: the superseded bytes (read-modify-write
   // base; null if the block was uncached everywhere) and the fresh
@@ -1514,7 +1479,7 @@ std::size_t CcmCluster::crash_node(cache::NodeId node) {
     sh.store.clear();
   }
   // Shard lock released before the directory fence: purge_node may be an RPC
-  // to the home process, and workers never hold a shard lock across one.
+  // to the home process, and no lock is ever held across one.
   // Ordering is safe either way — a peer fetch that races the wipe sees
   // "not the master" and re-reads the directory.
   return dir_->purge_node(node);

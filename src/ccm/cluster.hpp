@@ -4,17 +4,19 @@
 //
 // CcmCluster hosts the cluster's logical nodes — all of them in one process
 // (the default), or one slice of them when several processes form the
-// cluster over a socket transport. Each hosted node has a worker pool (its
-// "service threads"), a byte store for cached blocks, and its own *shard* of
-// the cooperative caching policy: a proto::NodeState (this node's entry
-// books, LRU ages, and stats slice) guarded by a per-node lock. The
-// cluster-wide master map is reached through a DirectoryClient — a local
-// proto::DirectoryService in-process, kDir* RPCs to the node-0 process in a
-// multi-process cluster. Cross-node traffic travels as proto::Message
+// cluster over a socket transport. It is a library the server's own request
+// threads call: read(), read_range() and write() run on the caller's thread,
+// and each hosted node admits at most workers_per_node of them at once (its
+// "service threads"). Each hosted node has a byte store for cached blocks
+// and its own *shard* of the cooperative caching policy: a proto::NodeState
+// (this node's entry books, LRU ages, and stats slice) guarded by a per-node
+// lock. The cluster-wide master map is reached through a DirectoryClient — a
+// local proto::DirectoryService in-process, kDir* RPCs to the node-0 process
+// in a multi-process cluster. Cross-node traffic travels as proto::Message
 // envelopes through a pluggable net::Transport — the exact message
 // vocabulary the simulator charges with the paper's Table-1 latencies (see
 // docs/MIDDLEWARE.md for the correspondence). In-process, the transport runs
-// each request's handler on the sending worker's thread; over TCP (or behind
+// each request's handler on the sending caller's thread; over TCP (or behind
 // a decorator that declines direct binding) the request is queued for the
 // target node's protocol thread.
 //
@@ -26,8 +28,8 @@
 //  * Cross-node operations (peer fetch, master forward, invalidation, write
 //    ownership transfer) are RPCs through the transport; the handler works
 //    under the target's shard lock plus the directory (a strict shard →
-//    directory lock order, with the directory a leaf). Workers never hold a
-//    shard lock across an RPC, so a worker running a peer's handler on the
+//    directory lock order, with the directory a leaf). Operations never hold
+//    a shard lock across an RPC, so a thread running a peer's handler on the
 //    direct path holds at most that one shard lock — the lock-order watchdog
 //    reports "direct-call-unlocked" otherwise.
 //  * In a multi-process cluster the directory "leaf" is itself an RPC to the
@@ -49,6 +51,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <semaphore>
 #include <set>
 #include <string>
 #include <thread>
@@ -58,7 +61,6 @@
 #include "cache/coop_cache.hpp"
 #include "ccm/directory_client.hpp"
 #include "ccm/storage.hpp"
-#include "ccm/transport.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/runtime_trace.hpp"
@@ -77,7 +79,9 @@ struct CcmConfig {
   std::uint32_t block_bytes = 8 * 1024;
   cache::Policy policy = cache::Policy::kNeverEvictMaster;
   cache::DirectoryMode directory = cache::DirectoryMode::kPerfect;
-  /// Worker threads per node.
+  /// Most client operations (read, read_range, write) in flight via one node
+  /// at once; later callers wait for a slot. Handlers, invalidate() and
+  /// barrier() take none.
   std::size_t workers_per_node = 2;
   /// Batch directory traffic: multi-block reads collect their lookups,
   /// claims, and cache-validations into kDirBatch round trips (one shard-lock
@@ -144,11 +148,14 @@ class CcmCluster {
   CcmCluster(const CcmCluster&) = delete;
   CcmCluster& operator=(const CcmCluster&) = delete;
 
-  /// Reads the whole file through node `via`'s worker pool. Thread-safe.
-  /// `via` must be hosted in this process.
+  /// Reads the whole file via node `via`, on the calling thread, once one
+  /// of the node's workers_per_node slots is free. Thread-safe. `via` must
+  /// be hosted in this process.
   std::vector<std::byte> read(cache::NodeId via, cache::FileId file);
 
-  /// Asynchronous variant; the future resolves when the bytes are assembled.
+  /// read() on a new thread; the future resolves when the bytes are
+  /// assembled. Bad arguments throw here, before the thread starts. Resolve
+  /// every future before destroying the cluster.
   std::future<std::vector<std::byte>> read_async(cache::NodeId via,
                                                  cache::FileId file);
 
@@ -190,7 +197,7 @@ class CcmCluster {
   /// of resurrecting its masters. Committed writes survive: every write went
   /// through to Storage before any cached master existed. Returns how many
   /// masters the directory purged. Call with the node's workload quiesced
-  /// (its workers idle); peer traffic may keep flowing.
+  /// (no operation in flight via the node); peer traffic may keep flowing.
   std::size_t crash_node(cache::NodeId node);
 
   /// Brings a previously crashed hosted node back cold: the shard restarts
@@ -282,8 +289,11 @@ class CcmCluster {
   /// One node's share of the runtime: its policy slice, byte store, and the
   /// lock that guards both.
   struct Shard {
-    Shard(cache::NodeId id, const cache::CoopCacheConfig& cfg)
-        : mu("ccm.shard[" + std::to_string(id) + "]"), state(id, cfg) {}
+    Shard(cache::NodeId id, const cache::CoopCacheConfig& cfg,
+          std::size_t max_ops)
+        : mu("ccm.shard[" + std::to_string(id) + "]"),
+          state(id, cfg),
+          admission(static_cast<std::ptrdiff_t>(max_ops)) {}
     mutable util::CountingMutex mu;
     /// Deliberately NOT GUARDED_BY(mu): ShardView reads the published_*
     /// summary fields lock-free (they are atomics, refreshed by publish()
@@ -297,6 +307,9 @@ class CcmCluster {
     std::atomic<std::uint64_t> local_reads{0};
     std::atomic<std::uint64_t> messages_sent{0};
     std::atomic<std::uint64_t> messages_handled{0};
+    /// workers_per_node slots, one held by each read/read_range/write in
+    /// flight via this node.
+    std::counting_semaphore<> admission;
   };
 
   /// A protocol reply: the wire message plus (for fetches and ownership
@@ -304,16 +317,6 @@ class CcmCluster {
   struct Reply {
     proto::Message msg;
     BlockPtr data;
-  };
-
-  struct Task {
-    enum class Kind { kRead, kWrite };
-    Kind kind = Kind::kRead;
-    cache::FileId file;
-    std::uint64_t offset;
-    std::uint64_t length;
-    std::vector<std::byte> write_data;  // kWrite only
-    std::promise<std::vector<std::byte>> promise;
   };
 
   /// Lock-free published view of every shard (forward-target selection).
@@ -336,9 +339,6 @@ class CcmCluster {
    private:
     const CcmCluster& owner_;
   };
-
-  /// Worker-thread loop for node `node` (serves read/write tasks).
-  void worker_loop(cache::NodeId node);
 
   /// Serves one request addressed to hosted node `node` and returns the
   /// reply envelope: the handler span, handle_message, and the reply's seq.
@@ -370,12 +370,12 @@ class CcmCluster {
     return clock_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Executes one read on the calling (worker) thread.
+  /// Executes one read on the calling thread.
   std::vector<std::byte> execute_read(cache::NodeId node, cache::FileId file,
                                       std::uint64_t offset,
                                       std::uint64_t length);
 
-  /// Executes one write on the calling (worker) thread.
+  /// Executes one write on the calling thread.
   void execute_write(cache::NodeId node, cache::FileId file,
                      std::uint64_t offset, std::span<const std::byte> data);
 
@@ -471,6 +471,8 @@ class CcmCluster {
 
   CcmConfig config_;
   std::shared_ptr<Storage> storage_;
+  /// storage_ as a WritableStorage; null when it is read-only.
+  WritableStorage* writable_ = nullptr;
 
   std::shared_ptr<net::Transport> transport_;
   std::shared_ptr<DirectoryClient> dir_;
@@ -506,8 +508,6 @@ class CcmCluster {
   std::map<std::uint32_t, std::set<cache::NodeId>> barrier_arrivals_
       GUARDED_BY(barrier_mu_);
 
-  std::vector<std::unique_ptr<Mailbox<Task>>> mailboxes_;
-  std::vector<std::thread> workers_;
   /// Only for nodes whose transport declined serve_direct().
   std::vector<std::thread> protocol_threads_;
 };

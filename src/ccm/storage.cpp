@@ -34,10 +34,11 @@ void MemStorage::read(cache::FileId file, std::uint64_t offset,
   }
 }
 
-BufferStorage::BufferStorage(const std::vector<std::uint32_t>& file_sizes) {
-  files_.reserve(file_sizes.size());
-  for (std::size_t f = 0; f < file_sizes.size(); ++f) {
-    std::vector<std::byte> content(file_sizes[f]);
+BufferStorage::BufferStorage(const std::vector<std::uint32_t>& file_sizes)
+    : sizes_(file_sizes) {
+  files_.reserve(sizes_.size());
+  for (std::size_t f = 0; f < sizes_.size(); ++f) {
+    std::vector<std::byte> content(sizes_[f]);
     for (std::size_t i = 0; i < content.size(); ++i) {
       content[i] =
           MemStorage::content_at(static_cast<cache::FileId>(f), i);
@@ -46,15 +47,9 @@ BufferStorage::BufferStorage(const std::vector<std::uint32_t>& file_sizes) {
   }
 }
 
-std::size_t BufferStorage::file_count() const {
-  util::ScopedLock lock(mu_);
-  return files_.size();
-}
-
 std::uint64_t BufferStorage::file_size(cache::FileId file) const {
-  util::ScopedLock lock(mu_);
-  assert(file < files_.size());
-  return files_[file].size();
+  assert(file < sizes_.size());
+  return sizes_[file];
 }
 
 void BufferStorage::read(cache::FileId file, std::uint64_t offset,

@@ -45,12 +45,16 @@ class WritableStorage : public Storage {
 
 /// Mutable in-memory storage backed by real buffers. Files are initialized
 /// with the same deterministic content as MemStorage (so read-side integrity
-/// checks carry over) and can be overwritten.
+/// checks carry over) and can be overwritten. Sizes are fixed at
+/// construction, so file_count() and file_size() take no lock; the lock
+/// guards only the bytes.
 class BufferStorage final : public WritableStorage {
  public:
   explicit BufferStorage(const std::vector<std::uint32_t>& file_sizes);
 
-  [[nodiscard]] std::size_t file_count() const override;
+  [[nodiscard]] std::size_t file_count() const override {
+    return sizes_.size();
+  }
   [[nodiscard]] std::uint64_t file_size(cache::FileId file) const override;
   void read(cache::FileId file, std::uint64_t offset,
             std::span<std::byte> out) const override;
@@ -58,6 +62,7 @@ class BufferStorage final : public WritableStorage {
              std::span<const std::byte> data) override;
 
  private:
+  const std::vector<std::uint32_t> sizes_;
   mutable util::Mutex mu_{"ccm.storage.buffer"};
   std::vector<std::vector<std::byte>> files_ GUARDED_BY(mu_);
 };

@@ -1,6 +1,7 @@
-// Intra-process message transport: a bounded MPMC mailbox used to hand work
-// to node worker threads. In a distributed deployment this is the seam where
-// a socket-based transport would plug in.
+// Intra-process message queue: a bounded MPMC mailbox. The transports use it
+// to hand envelopes to protocol threads (InProcTransport's queued path, and
+// TcpTransport's inbound queue) and to socket writer threads (TcpTransport's
+// per-peer outboxes).
 //
 // The queue state is guarded by an annotated util::Mutex (thread-safety
 // analysis + lock-order watchdog); waits go through condition_variable_any

@@ -1,8 +1,8 @@
 // The pluggable node-to-node transport behind the middleware runtime.
 //
-// CcmCluster speaks only this interface: workers issue blocking RPCs with
-// call(), protocol threads pull requests with receive() and answer with
-// post(). Two implementations exist:
+// CcmCluster speaks only this interface: client operations issue blocking
+// RPCs with call(), protocol threads pull requests with receive() and answer
+// with post(). Two implementations exist:
 //
 //  * InProcTransport — every node lives in this process. A node bound with
 //    serve_direct() has its handler run on the caller's thread inside

@@ -5,7 +5,7 @@
 // simulated milliseconds; this module is its runtime sibling: spans are
 // stamped with epoch nanoseconds (obs::runtime_wall_ns) so slices recorded
 // by different `ccm_node` processes line up on one Perfetto timeline. A
-// trace id minted by the worker that starts a block operation rides inside
+// trace id minted by the thread that starts a block operation rides inside
 // every proto::Message the operation fans out (Message::trace / ::span), so
 // the client RPC slice in one process and the handler slice in another
 // carry the same trace id and a parent/child span link — that is what makes
@@ -43,9 +43,9 @@ struct RuntimeSpan {
   std::string name;
 };
 
-/// The ambient trace identity of the calling thread: workers set it when an
-/// operation starts, handlers adopt it from the incoming message (saving and
-/// restoring the caller's when they run on its thread).
+/// The ambient trace identity of the calling thread: client operations set
+/// it when they start, handlers adopt it from the incoming message (saving
+/// and restoring the caller's when they run on its thread).
 struct TraceContext {
   std::uint64_t trace = 0;
   std::uint64_t span = 0;

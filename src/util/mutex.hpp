@@ -13,6 +13,11 @@
 //     acquisition-order graph gets its nodes (src/util/lockcheck.hpp).
 //  3. Contention counters (CountingMutex): the per-shard accounting that
 //     ccm_stress and CcmStats report.
+//
+// Both lock() paths spin a bounded number of try_lock rounds before parking
+// in the kernel: runtime critical sections are short, and client operations
+// run on their callers' threads, so a busy lock is usually released within
+// the spin — sooner than a futex sleep and wake-up would take.
 #pragma once
 
 #include <atomic>
@@ -21,10 +26,31 @@
 #include <string>
 #include <utility>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 #include "util/lockcheck.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace coop::util {
+
+/// try_lock rounds a contended lock() spins before it parks.
+inline constexpr int kLockSpinRounds = 128;
+
+/// Retries `mu.try_lock()` up to kLockSpinRounds times, pausing the core
+/// between attempts; true once one succeeds.
+inline bool spin_try_lock(std::mutex& mu) {
+  for (int i = 0; i < kLockSpinRounds; ++i) {
+#if defined(__x86_64__) || defined(__i386__)
+    _mm_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+    if (mu.try_lock()) return true;
+  }
+  return false;
+}
 
 /// std::mutex with a lockcheck identity and TSA capability annotations.
 class CAPABILITY("mutex") Mutex {
@@ -36,7 +62,7 @@ class CAPABILITY("mutex") Mutex {
 
   void lock() ACQUIRE() {
     lockcheck::note_acquire(id_);
-    mu_.lock();
+    if (!mu_.try_lock() && !spin_try_lock(mu_)) mu_.lock();
     lockcheck::note_acquired(id_);
   }
 
@@ -61,9 +87,10 @@ class CAPABILITY("mutex") Mutex {
   const lockcheck::LockId id_;
 };
 
-/// A mutex that counts acquisitions and contention (failed immediate
-/// acquisition) so shard-lock pressure is observable per node. The runtime
-/// uses one per shard; ccm_stress reports the counters.
+/// A mutex that counts acquisitions and contention (a failed first
+/// try_lock, whether the spin or the park then acquires) so shard-lock
+/// pressure is observable per node. The runtime uses one per shard;
+/// ccm_stress reports the counters.
 class CAPABILITY("mutex") CountingMutex {
  public:
   explicit CountingMutex(std::string name = "util.counting_mutex")
@@ -75,7 +102,7 @@ class CAPABILITY("mutex") CountingMutex {
     lockcheck::note_acquire(id_);
     if (!mu_.try_lock()) {
       contended_.fetch_add(1, std::memory_order_relaxed);
-      mu_.lock();
+      if (!spin_try_lock(mu_)) mu_.lock();
     }
     acquired_.fetch_add(1, std::memory_order_relaxed);
     lockcheck::note_acquired(id_);

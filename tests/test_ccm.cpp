@@ -1,11 +1,16 @@
 // Tests for the threaded middleware runtime: byte-exact reads, policy/store
-// consistency, concurrency stress, and the storage backends.
+// consistency, concurrency stress, caller-thread execution and its
+// per-node admission bound, and the storage backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <tuple>
 
@@ -655,6 +660,109 @@ TEST(CcmCluster, DirectDispatchMatchesQueuedDelivery) {
   // The stream must actually cross nodes, or the comparison is vacuous.
   EXPECT_GT(direct.totals.remote_hits, 0u);
   EXPECT_GT(direct.totals.ownership_migrations, 0u);
+}
+
+// ------------------------------------------- caller-thread execution ---
+
+/// Storage decorator that records which thread made each read and the most
+/// reads ever in flight at once. Every read first waits, for at most
+/// `patience`, until `rendezvous` reads are in flight together: where the
+/// cluster allows that much overlap the wait forces it, and where it does
+/// not the wait times out.
+class ProbeStorage final : public Storage {
+ public:
+  ProbeStorage(std::shared_ptr<Storage> inner, std::size_t rendezvous,
+               std::chrono::milliseconds patience)
+      : inner_(std::move(inner)),
+        rendezvous_(rendezvous),
+        patience_(patience) {}
+
+  [[nodiscard]] std::size_t file_count() const override {
+    return inner_->file_count();
+  }
+  [[nodiscard]] std::uint64_t file_size(cache::FileId file) const override {
+    return inner_->file_size(file);
+  }
+  void read(cache::FileId file, std::uint64_t offset,
+            std::span<std::byte> out) const override {
+    {
+      std::unique_lock lock(mu_);
+      readers_.push_back(std::this_thread::get_id());
+      peak_ = std::max(peak_, ++in_flight_);
+      if (in_flight_ >= rendezvous_) met_ = true;
+      cv_.notify_all();
+      cv_.wait_for(lock, patience_, [this] { return met_; });
+    }
+    inner_->read(file, offset, out);
+    std::scoped_lock lock(mu_);
+    --in_flight_;
+  }
+
+  [[nodiscard]] std::vector<std::thread::id> readers() const {
+    std::scoped_lock lock(mu_);
+    return readers_;
+  }
+  [[nodiscard]] std::size_t peak_in_flight() const {
+    std::scoped_lock lock(mu_);
+    return peak_;
+  }
+
+ private:
+  std::shared_ptr<Storage> inner_;
+  const std::size_t rendezvous_;
+  const std::chrono::milliseconds patience_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable std::vector<std::thread::id> readers_;
+  mutable std::size_t in_flight_ = 0;
+  mutable std::size_t peak_ = 0;
+  mutable bool met_ = false;
+};
+
+TEST(CcmCluster, OperationsTouchStorageOnTheCallingThread) {
+  auto probe = std::make_shared<ProbeStorage>(
+      std::make_shared<MemStorage>(make_sizes(4)), 1,
+      std::chrono::milliseconds(0));
+  CcmCluster cluster(small_config(2, 32), probe);
+  EXPECT_TRUE(matches_storage(cluster.read(0, 0), 0));
+  EXPECT_TRUE(matches_storage(cluster.read(1, 1), 1));
+  EXPECT_TRUE(matches_storage(cluster.read_range(1, 2, 10, 100), 2, 10));
+  const auto readers = probe->readers();
+  ASSERT_GE(readers.size(), 3u);
+  for (const auto& id : readers) EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+/// Three threads read one distinct cold one-block file each via node 0 of a
+/// cluster admitting `workers_per_node` operations per node; returns the most
+/// storage reads that were ever in flight together.
+std::size_t peak_storage_overlap(std::size_t workers_per_node,
+                                 std::chrono::milliseconds patience) {
+  constexpr std::size_t kReaders = 3;
+  auto probe = std::make_shared<ProbeStorage>(
+      std::make_shared<MemStorage>(
+          std::vector<std::uint32_t>(kReaders, kBlock)),
+      kReaders, patience);
+  CcmConfig cfg = small_config(2, 16);
+  cfg.workers_per_node = workers_per_node;
+  CcmCluster cluster(cfg, probe);
+  std::vector<std::thread> threads;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&cluster, r] {
+      const auto f = static_cast<cache::FileId>(r);
+      EXPECT_TRUE(matches_storage(cluster.read(0, f), f));
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(probe->readers().size(), kReaders);
+  return probe->peak_in_flight();
+}
+
+// workers_per_node bounds the operations in flight via a node: with one slot
+// the readers reach storage one at a time (each waits out the rendezvous
+// alone); with three they all meet there.
+TEST(CcmCluster, WorkersPerNodeBoundsOperationsInFlight) {
+  EXPECT_EQ(peak_storage_overlap(1, std::chrono::milliseconds(200)), 1u);
+  EXPECT_EQ(peak_storage_overlap(3, std::chrono::milliseconds(20000)), 3u);
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 // Tests for the lock-order watchdog (src/util/lockcheck) and the
 // instrumented mutex wrappers (src/util/mutex.hpp): an ABBA inversion must
 // be detected the moment the second edge is recorded, a consistently
-// ordered workload must stay silent, a direct in-process call made while
-// holding a lock must be reported, and the real CcmCluster runtime must
-// keep its acquisition graph acyclic end to end.
+// ordered workload must stay silent, a contended lock must count exactly
+// whether it is won by spinning or by parking, a direct in-process call made
+// while holding a lock must be reported, and the real CcmCluster runtime
+// must keep its acquisition graph acyclic end to end.
 #include <gtest/gtest.h>
+#include <sched.h>
+#include <sys/resource.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -191,6 +196,104 @@ TEST_F(LockcheckTest, CountingMutexCountersAreMonotoneAndResettable) {
   m.reset_counts();
   EXPECT_EQ(m.acquired(), 0u);
   EXPECT_EQ(m.contended(), 0u);
+}
+
+long voluntary_switches() {
+  rusage ru{};
+  getrusage(RUSAGE_THREAD, &ru);
+  return ru.ru_nvcsw;
+}
+
+cpu_set_t allowed_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  sched_getaffinity(0, sizeof(set), &set);
+  return set;
+}
+
+/// Pins the calling thread to the `nth` (0-based) CPU of `allowed`.
+void pin_to(const cpu_set_t& allowed, int nth) {
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0, seen = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed) && seen++ == nth) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  sched_setaffinity(0, sizeof(one), &one);
+}
+
+/// Runs `rounds` contended acquisitions of `m` by this thread. In each, a
+/// holder thread takes the lock, waits until this thread's lock() has failed
+/// its first try_lock (contended() ticks), keeps the lock `hold` longer, and
+/// releases. With two CPUs allowed, the holder and this thread run on
+/// different ones, so a prompt release really happens while this thread
+/// spins. Returns how many of this thread's acquisitions made no voluntary
+/// context switch, i.e. completed without parking.
+int contend(CountingMutex& m, int rounds, std::chrono::milliseconds hold) {
+  const cpu_set_t allowed = allowed_cpus();
+  const bool pinned = CPU_COUNT(&allowed) > 1;
+  std::atomic<int> go{0};
+  std::atomic<int> held{0};
+  std::thread holder([&] {
+    if (pinned) pin_to(allowed, 1);
+    for (int i = 1; i <= rounds; ++i) {
+      while (go.load() != i) std::this_thread::yield();
+      const std::uint64_t contended0 = m.contended();
+      ScopedLock lock(m);
+      held.store(i);
+      while (m.contended() == contended0) std::this_thread::yield();
+      std::this_thread::sleep_for(hold);
+      EXPECT_EQ(held_count(), 1u);
+    }
+    EXPECT_EQ(held_count(), 0u);
+  });
+  if (pinned) pin_to(allowed, 0);
+  int spun = 0;
+  for (int i = 1; i <= rounds; ++i) {
+    go.store(i);
+    while (held.load() != i) std::this_thread::yield();
+    const long switches0 = voluntary_switches();
+    m.lock();
+    if (voluntary_switches() == switches0) ++spun;
+    EXPECT_EQ(held_count(), 1u);
+    m.unlock();
+  }
+  holder.join();
+  sched_setaffinity(0, sizeof(allowed), &allowed);
+  EXPECT_EQ(held_count(), 0u);
+  return spun;
+}
+
+// A holder that lets go as soon as the contender's first try_lock fails:
+// the release lands inside the contender's spin budget, so (given a second
+// CPU for the holder) some acquisitions complete without parking. Every
+// round counts one contention and two acquisitions either way.
+TEST_F(LockcheckTest, CountingMutexSpinAcquisitionCountsExactly) {
+  audit::Recorder rec;
+  CountingMutex m("test.spin.short");
+  constexpr int kRounds = 50;
+  const int spun = contend(m, kRounds, std::chrono::milliseconds(0));
+  if (const cpu_set_t cpus = allowed_cpus(); CPU_COUNT(&cpus) > 1) {
+    EXPECT_GT(spun, 0);
+  }
+  EXPECT_EQ(m.acquired(), 2u * kRounds);
+  EXPECT_EQ(m.contended(), static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(rec.count(), 0u);
+}
+
+// A holder that keeps the lock far past the spin budget: the bounded spin
+// gives up and every contended acquisition parks (a voluntary context
+// switch) instead of burning the core, with the same exact counts.
+TEST_F(LockcheckTest, CountingMutexParksAfterTheSpinBudget) {
+  audit::Recorder rec;
+  CountingMutex m("test.spin.long");
+  constexpr int kRounds = 3;
+  EXPECT_EQ(contend(m, kRounds, std::chrono::milliseconds(20)), 0);
+  EXPECT_EQ(m.acquired(), 2u * kRounds);
+  EXPECT_EQ(m.contended(), static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(rec.count(), 0u);
 }
 
 // The in-process transport's direct path runs the target's handler on the
