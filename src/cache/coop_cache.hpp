@@ -1,12 +1,15 @@
-// The paper's block-based cooperative caching algorithm (§3).
+// The paper's block-based cooperative caching algorithm (§3), driven
+// serially for the simulator.
 //
-// ClusterCache is a *pure policy engine*: it tracks which node caches which
-// block (master or non-master copy), decides where each block of an access
-// comes from (local memory, a peer's memory, or a home node's disk), and
-// carries out the replacement algorithm including master-block forwarding.
-// It performs no I/O and knows nothing about time; callers — the event-driven
-// simulator in src/server and the threaded middleware in src/ccm — execute
-// and charge the actions it reports.
+// The policy itself lives in two shared pieces: proto::NodeState (one node's
+// cache, its evictions and its half of a master forward) and
+// proto::DirectoryService (master registrations and the hint tables of the
+// hinted mode). The threaded runtime (ccm::CcmCluster) runs those pieces
+// sharded, one lock per node, with messages between them. ClusterCache runs
+// the very same pieces one step at a time with an exact view of every peer,
+// and records what each access did as an AccessResult. It performs no I/O
+// and knows nothing about time; the event-driven simulator in src/server
+// charges the actions it reports.
 //
 // Algorithm summary (from the paper):
 //  * The first in-memory copy of a block (read from its home node's disk) is
@@ -26,112 +29,22 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
-#include "cache/directory.hpp"
 #include "cache/node_cache.hpp"
+#include "cache/policy.hpp"
 #include "cache/types.hpp"
+#include "proto/directory_service.hpp"
+#include "proto/node_state.hpp"
 #include "util/audit.hpp"
 
 namespace coop::cache {
 
-/// Replacement policy variants evaluated in the paper.
-enum class Policy {
-  kBasic,            // CC-Basic: global LRU with master second chance
-  kNeverEvictMaster  // CC-NEM: evict oldest non-master first
-};
-
-/// Directory implementations: the paper's optimistic perfect directory, or
-/// the hint-based scheme of its §6 future work.
-enum class DirectoryMode { kPerfect, kHinted };
-
-struct CoopCacheConfig {
-  std::size_t nodes = 8;
-  std::uint64_t capacity_bytes = 64ull * 1024 * 1024;  // per node
-  std::uint32_t block_bytes = 8 * 1024;
-  Policy policy = Policy::kNeverEvictMaster;
-  DirectoryMode directory = DirectoryMode::kPerfect;
-  std::uint32_t hint_staleness = 1;
-  /// Whole-file adaptation (§6: "whether [CCM] can easily be adapted for
-  /// servers that always use whole files"): each file is cached, fetched,
-  /// forwarded, and evicted as a single entry spanning its block footprint.
-  bool whole_file = false;
-};
-
-/// Where one block of an access was satisfied from.
-enum class Source { kLocalHit, kRemoteHit, kDiskRead };
-
-struct BlockFetch {
-  BlockId block;
-  Source source = Source::kLocalHit;
-  /// Peer for remote hits, home node for disk reads, self for local hits.
-  NodeId provider = kInvalidNode;
-  /// Hinted mode only: the hint pointed at the wrong node and an extra
-  /// network round trip was wasted before reaching `provider`.
-  bool misdirected = false;
-};
-
-struct Forward {
-  BlockId block;
-  NodeId from = kInvalidNode;
-  NodeId to = kInvalidNode;
-  /// False when the destination dropped the forwarded block (it would have
-  /// been the destination's oldest).
-  bool accepted = true;
-};
-
-struct Drop {
-  BlockId block;
-  NodeId node = kInvalidNode;
-  bool was_master = false;
-};
-
-/// Everything that happened during one access; callers charge the costs.
-struct AccessResult {
-  std::vector<BlockFetch> fetches;
-  std::vector<Forward> forwards;
-  std::vector<Drop> drops;
-};
-
-/// Receives every policy action *in the order it happens* during an access.
-/// AccessResult loses the interleaving between fetches, drops, and forwards;
-/// data-plane implementations (the threaded middleware) need the exact order
-/// to keep byte stores consistent with the policy metadata.
-class ActionObserver {
- public:
-  virtual ~ActionObserver() = default;
-  /// `requester` is the node performing the access.
-  virtual void on_fetch(NodeId requester, const BlockFetch& fetch) = 0;
-  virtual void on_drop(const Drop& drop) = 0;
-  /// For accepted forwards the destination may already hold a non-master
-  /// copy (promotion); implementations must tolerate both cases.
-  virtual void on_forward(const Forward& forward) = 0;
-};
-
-/// Aggregate policy statistics.
-struct CacheStats {
-  std::uint64_t local_hits = 0;
-  std::uint64_t remote_hits = 0;
-  std::uint64_t disk_reads = 0;
-  std::uint64_t forwards_attempted = 0;
-  std::uint64_t forwards_accepted = 0;
-  std::uint64_t master_drops = 0;
-  std::uint64_t copy_drops = 0;
-  std::uint64_t hint_misdirects = 0;
-  // Write-protocol extension (the paper's §6 future work).
-  std::uint64_t writes = 0;
-  std::uint64_t invalidations = 0;
-  std::uint64_t ownership_migrations = 0;
-
-  [[nodiscard]] std::uint64_t block_accesses() const {
-    return local_hits + remote_hits + disk_reads;
-  }
-  [[nodiscard]] double local_hit_rate() const;
-  [[nodiscard]] double remote_hit_rate() const;
-  [[nodiscard]] double global_hit_rate() const;
-};
-
-class ClusterCache {
+/// The serial driver is its own PeerView: every peer's oldest age and
+/// fullness are read straight from the nodes, so with nothing in flight the
+/// view is exact.
+class ClusterCache : private proto::PeerView {
  public:
   /// `home_of` maps a file to the node whose disk stores it ("the general
   /// case of files being distributed across all nodes", §3); defaults to
@@ -169,22 +82,22 @@ class ClusterCache {
   [[nodiscard]] const CoopCacheConfig& config() const { return config_; }
   [[nodiscard]] NodeId home_of(FileId file) const { return home_of_(file); }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] const NodeCache& node(NodeId n) const { return nodes_[n]; }
-  [[nodiscard]] const PerfectDirectory& directory() const { return directory_; }
-  [[nodiscard]] const CacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = CacheStats{}; }
+  [[nodiscard]] const NodeCache& node(NodeId n) const {
+    return nodes_[n]->cache();
+  }
+  [[nodiscard]] const proto::DirectoryService& directory() const {
+    return dir_;
+  }
+  /// The nodes' counters summed, plus the directory's hint misdirects.
+  [[nodiscard]] CacheStats stats() const;
+  void reset_stats();
 
   /// Hinted mode only: observed hint accuracy (paper cites ~98% for [18]).
-  [[nodiscard]] double hint_accuracy() const;
-
-  /// Installs (or clears, with nullptr) the in-order action observer. Not
-  /// owned; must outlive the ClusterCache or be cleared first.
-  void set_observer(ActionObserver* observer) { observer_ = observer; }
+  [[nodiscard]] double hint_accuracy() const { return dir_.hint_accuracy(); }
 
   /// Observation tap fired once per access()/write() with the requesting
-  /// node and the completed plan. Unlike ActionObserver it sees only the
-  /// aggregate result — enough for hit/miss timelines — and may be installed
-  /// without touching the data plane. Empty function clears it.
+  /// node and the completed plan — enough for hit/miss timelines. Empty
+  /// function clears it.
   using AccessTap = std::function<void(NodeId node, const AccessResult& plan)>;
   void set_access_tap(AccessTap tap) { access_tap_ = std::move(tap); }
 
@@ -201,47 +114,32 @@ class ClusterCache {
  private:
   friend struct ClusterCacheTestPeer;  // test-only state corruption (audit tests)
 
+  [[nodiscard]] std::uint64_t peer_oldest_age(NodeId n) const override;
+  [[nodiscard]] bool peer_full(NodeId n) const override;
+
   /// Bodies of access_block/write_block; the public wrappers add the
   /// per-event audit hook in CCM_AUDIT builds.
   void access_block_impl(NodeId node, const BlockId& block,
-                         AccessResult& result, std::uint32_t slots = 1);
+                         AccessResult& result, std::uint32_t slots);
   void write_block_impl(NodeId node, const BlockId& block,
                         AccessResult& result);
-  /// Frees one entry's worth of space at `node` per the configured policy.
-  void evict_one(NodeId node, AccessResult& result);
-  /// Ensures at least `slots` free block slots at `node`.
-  void make_room(NodeId node, AccessResult& result, std::uint32_t slots = 1);
-  /// Evicts the oldest local block with the CC-Basic rules (also the
-  /// master-only path of CC-NEM).
-  void evict_global_lru(NodeId node, AccessResult& result);
-  /// Forwards an evicted master to the peer with the oldest block.
-  void forward_master(NodeId from, const LruList::Entry& entry,
-                      AccessResult& result);
-  /// True if `node`'s oldest block is the oldest block in the whole cluster.
-  [[nodiscard]] bool holds_globally_oldest(NodeId node) const;
-  /// Peer that should receive a forwarded master: a peer with free space if
-  /// any, otherwise the peer holding the oldest block. kInvalidNode if the
-  /// cluster has a single node.
-  [[nodiscard]] NodeId pick_forward_target(NodeId from) const;
-
-  void drop_block(NodeId node, const BlockId& block, AccessResult& result);
-  void install_master(NodeId node, const BlockId& block, std::uint64_t age);
-
-  /// Appends to `result` and notifies the observer.
-  void emit_fetch(NodeId requester, const BlockFetch& fetch,
-                  AccessResult& result);
-  void emit_drop(const Drop& drop, AccessResult& result);
-  void emit_forward(const Forward& forward, AccessResult& result);
+  /// Evicts at `st` until `slots` fit, forwarding masters that earn a
+  /// second chance.
+  void make_room(proto::NodeState& st, std::uint32_t slots,
+                 AccessResult& result);
+  /// Offers a master `from` evicted to the peer the policy picks.
+  void forward(proto::NodeState& from, const proto::PendingForward& pf,
+               AccessResult& result);
+  /// Unregisters the masters among result.drops[first..].
+  void unregister_dropped_masters(const AccessResult& result,
+                                  std::size_t first);
 
   CoopCacheConfig config_;
   std::function<NodeId(FileId)> home_of_;
-  ActionObserver* observer_ = nullptr;
   AccessTap access_tap_;
-  std::vector<NodeCache> nodes_;
-  PerfectDirectory directory_;
-  HintedDirectory hints_;
+  std::vector<std::unique_ptr<proto::NodeState>> nodes_;
+  proto::DirectoryService dir_;
   LogicalClock clock_;
-  CacheStats stats_;
 };
 
 }  // namespace coop::cache

@@ -1518,17 +1518,7 @@ CcmStats CcmCluster::stats() const {
     if (!shards_[n]) continue;  // hosted by another process
     const Shard& sh = *shards_[n];
     util::ScopedLock lock(sh.mu);
-    const cache::CacheStats& slice = sh.state.stats();
-    s.local_hits += slice.local_hits;
-    s.remote_hits += slice.remote_hits;
-    s.disk_reads += slice.disk_reads;
-    s.forwards_attempted += slice.forwards_attempted;
-    s.forwards_accepted += slice.forwards_accepted;
-    s.master_drops += slice.master_drops;
-    s.copy_drops += slice.copy_drops;
-    s.invalidations += slice.invalidations;
-    s.writes += slice.writes;
-    s.ownership_migrations += slice.ownership_migrations;
+    static_cast<cache::CacheStats&>(s) += sh.state.stats();
     auto& out = s.shards[n];
     out.lock_acquired = sh.mu.acquired();
     out.lock_contended = sh.mu.contended();
@@ -1647,20 +1637,7 @@ std::size_t CcmCluster::audit_shard_locked(const Shard& sh,
                   std::to_string(block.file) + " block " +
                   std::to_string(block.index) + ctx);
   }
-  CCM_AUDIT(cache.used_blocks() <= cache.capacity_blocks() ||
-                cache.entry_count() <= 1,
-            "cache-occupancy",
-            "node " + std::to_string(node) + " uses " +
-                std::to_string(cache.used_blocks()) + " of " +
-                std::to_string(cache.capacity_blocks()) + " blocks" + ctx);
-  std::uint64_t slots = 0;
-  for (const auto& e : cache.masters()) slots += cache.slots_of(e.block);
-  for (const auto& e : cache.copies()) slots += cache.slots_of(e.block);
-  CCM_AUDIT(slots == cache.used_blocks(), "cache-slot-accounting",
-            "node " + std::to_string(node) + " books " +
-                std::to_string(cache.used_blocks()) +
-                " used blocks but entries cover " + std::to_string(slots) +
-                ctx);
+  ccm_audit_failures += sh.state.audit(context);
   return ccm_audit_failures;
 }
 

@@ -58,7 +58,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/coop_cache.hpp"
+#include "cache/policy.hpp"
 #include "ccm/directory_client.hpp"
 #include "ccm/storage.hpp"
 #include "net/transport.hpp"

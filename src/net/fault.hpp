@@ -89,7 +89,7 @@ struct FaultSchedule {
 struct FaultEvent {
   std::uint64_t index = 0;  // ordinal in the event log
   FaultAction action = FaultAction::kDrop;
-  proto::MsgKind kind = proto::MsgKind::kBlockLookup;  // request kind
+  proto::MsgKind kind = proto::MsgKind::kPeerFetch;  // request kind
   bool on_reply = false;
   cache::NodeId from = cache::kInvalidNode;
   cache::NodeId to = cache::kInvalidNode;

@@ -43,7 +43,9 @@ inline constexpr std::uint32_t kHandshakeMagic = 0x314D4343;  // "CCM1"
 // the kStatsPull/kStatsReply scrape kinds, changing kWireSize.
 // v3: batched directory ops (kDirBatchRequest/kDirBatchReply with their
 // payload vocabulary in proto/dir_batch.hpp) extended the kind space.
-inline constexpr std::uint16_t kProtocolVersion = 3;
+// v4: the unused directory kinds (block-lookup, master-claim, their replies
+// and eviction-notice) were removed, renumbering every later kind.
+inline constexpr std::uint16_t kProtocolVersion = 4;
 inline constexpr std::size_t kHandshakeSize = 4 + 2 + 2;
 
 /// Fixed frame bytes after the length prefix, before the payload.

@@ -20,9 +20,9 @@ DirectoryService::ReadLookup DirectoryService::lookup_for_read_locked(
   const std::uint64_t epoch = file_epoch_locked(b.file);
   if (mode_ == cache::DirectoryMode::kPerfect) return {truth, false, epoch};
 
-  // Hinted mode (ClusterCache::access_block_impl's hint logic, verbatim):
-  // a missing or wrong hint costs an extra round trip, after which the
-  // request is chained to the true holder and the hint refreshed.
+  // Hinted mode: a missing or wrong hint costs an extra round trip, after
+  // which the request is chained to the true holder and the hint refreshed.
+  // With no hint and no master the request goes to disk at no extra cost.
   const NodeId hinted = hints_.lookup(node, b);
   bool misdirected = false;
   if (hinted == cache::kInvalidNode) {
@@ -275,29 +275,6 @@ std::size_t DirectoryService::audit(const char* context) const {
   util::ScopedLock lock(mu_);
   if (mode_ != cache::DirectoryMode::kHinted) return 0;
   return hints_.audit(context);
-}
-
-Message DirectoryService::handle(const Message& request) {
-  switch (request.kind) {
-    case MsgKind::kBlockLookup: {
-      const auto r = lookup_for_read(request.from, request.block);
-      return Message::lookup_reply(request.from, request.block, r.master,
-                                   r.misdirected);
-    }
-    case MsgKind::kMasterClaim: {
-      const bool granted = try_claim(request.block, request.from);
-      return Message::claim_reply(request.from, request.block, granted,
-                                  lookup(request.block));
-    }
-    case MsgKind::kEvictionNotice: {
-      master_dropped(request.block, request.from);
-      return Message::invalidate_ack(cache::kInvalidNode, request.from);
-    }
-    default:
-      // Not a directory message; echo an un-granted reply.
-      return Message::claim_reply(request.from, request.block, false,
-                                  lookup(request.block));
-  }
 }
 
 }  // namespace coop::proto

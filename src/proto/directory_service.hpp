@@ -1,9 +1,10 @@
 // The cluster's master-block directory as a standalone service object.
 //
 // The paper assumes a perfect directory "maintained by some external
-// mechanism"; in the sharded runtime this object *is* that mechanism: a
-// small, separately-locked service that answers lookups, arbitrates master
-// claims, and carries the hint tables of the §6 hint-based variant. Nodes
+// mechanism"; this object *is* that mechanism, for the sharded runtime and
+// for the simulator's serial driver (cache::ClusterCache) alike: a small,
+// separately-locked service that answers lookups, arbitrates master claims,
+// and carries the hint tables of the §6 hint-based variant. Runtime nodes
 // never touch each other's policy state directly — they consult the
 // directory and then exchange proto::Messages.
 //
@@ -22,9 +23,8 @@
 #include <vector>
 
 #include "cache/directory.hpp"
-#include "cache/coop_cache.hpp"
+#include "cache/policy.hpp"
 #include "proto/dir_batch.hpp"
-#include "proto/message.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -63,9 +63,10 @@ class DirectoryService {
     std::uint64_t epoch = 0;
   };
 
-  /// Where `node` should fetch `b` from. In perfect mode this is the truth;
-  /// in hinted mode it is the node's (refreshed-on-miss) belief, with
-  /// misdirections counted exactly as cache::ClusterCache counts them.
+  /// Where `node` should fetch `b` from: always the true master holder. In
+  /// hinted mode the node's own hint is consulted first; a missing or wrong
+  /// one is reported as `misdirected` (an extra hop is owed), counted in
+  /// Ops::hint_misdirects, and refreshed.
   ReadLookup lookup_for_read(NodeId node, const BlockId& b);
 
   /// Authoritative master holder (kInvalidNode if none).
@@ -174,13 +175,9 @@ class DirectoryService {
   /// Hint-layer internal-consistency sweep (0 in perfect mode).
   std::size_t audit(const char* context) const;
 
-  /// Message-level adapter: answers directory queries expressed as wire
-  /// messages (kBlockLookup, kMasterClaim, kEvictionNotice). This is the
-  /// seam where a remote directory node would plug in; the in-process
-  /// runtime calls the typed methods directly.
-  Message handle(const Message& request);
-
  private:
+  friend struct DirectoryServiceTestPeer;  // test-only corruption (audit tests)
+
   // Lock-free bodies of the batchable operations: the public singles methods
   // and apply_batch() both dispatch here, so batched and single execution
   // cannot drift apart.

@@ -43,45 +43,6 @@ std::uint64_t get_u64(const std::byte* p) {
 
 }  // namespace
 
-Message Message::block_lookup(NodeId from, const BlockId& b) {
-  Message m;
-  m.kind = MsgKind::kBlockLookup;
-  m.from = from;
-  m.block = b;
-  return m;
-}
-
-Message Message::lookup_reply(NodeId to, const BlockId& b, NodeId master,
-                              bool misdirected) {
-  Message m;
-  m.kind = MsgKind::kBlockLookupReply;
-  m.from = master;  // by convention the reply names the master holder
-  m.to = to;
-  m.block = b;
-  if (misdirected) m.flags |= kFlagMisdirected;
-  if (master != cache::kInvalidNode) m.flags |= kFlagHit;
-  return m;
-}
-
-Message Message::master_claim(NodeId from, const BlockId& b) {
-  Message m;
-  m.kind = MsgKind::kMasterClaim;
-  m.from = from;
-  m.block = b;
-  return m;
-}
-
-Message Message::claim_reply(NodeId to, const BlockId& b, bool granted,
-                             NodeId holder) {
-  Message m;
-  m.kind = MsgKind::kMasterClaimReply;
-  m.from = holder;
-  m.to = to;
-  m.block = b;
-  if (granted) m.flags |= kFlagGranted;
-  return m;
-}
-
 Message Message::peer_fetch(NodeId from, NodeId to, const BlockId& b,
                             bool misdirected) {
   Message m;
@@ -161,14 +122,6 @@ Message Message::forward_ack(NodeId from, NodeId to, const BlockId& b,
   m.block = b;
   if (accepted) m.flags |= kFlagAccepted;
   if (promoted) m.flags |= kFlagPromoted;
-  return m;
-}
-
-Message Message::eviction_notice(NodeId from, const BlockId& b) {
-  Message m;
-  m.kind = MsgKind::kEvictionNotice;
-  m.from = from;
-  m.block = b;
   return m;
 }
 
@@ -398,8 +351,6 @@ Message Message::stats_reply(NodeId from, NodeId to, std::uint64_t bytes) {
 
 bool is_reply(MsgKind kind) {
   switch (kind) {
-    case MsgKind::kBlockLookupReply:
-    case MsgKind::kMasterClaimReply:
     case MsgKind::kPeerFetchReply:
     case MsgKind::kMasterForwardAck:
     case MsgKind::kInvalidateAck:
@@ -418,10 +369,6 @@ bool is_reply(MsgKind kind) {
 
 const char* kind_name(MsgKind kind) {
   switch (kind) {
-    case MsgKind::kBlockLookup: return "block-lookup";
-    case MsgKind::kBlockLookupReply: return "block-lookup-reply";
-    case MsgKind::kMasterClaim: return "master-claim";
-    case MsgKind::kMasterClaimReply: return "master-claim-reply";
     case MsgKind::kPeerFetch: return "peer-fetch";
     case MsgKind::kPeerFetchReply: return "peer-fetch-reply";
     case MsgKind::kRedirect: return "redirect";
@@ -429,7 +376,6 @@ const char* kind_name(MsgKind kind) {
     case MsgKind::kBlockData: return "block-data";
     case MsgKind::kMasterForward: return "master-forward";
     case MsgKind::kMasterForwardAck: return "master-forward-ack";
-    case MsgKind::kEvictionNotice: return "eviction-notice";
     case MsgKind::kInvalidateFile: return "invalidate-file";
     case MsgKind::kInvalidateBlock: return "invalidate-block";
     case MsgKind::kInvalidateAck: return "invalidate-ack";

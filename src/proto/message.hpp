@@ -31,18 +31,13 @@ using cache::FileId;
 using cache::NodeId;
 
 enum class MsgKind : std::uint8_t {
-  kBlockLookup = 0,       // requester -> directory: who holds the master?
-  kBlockLookupReply,      // directory -> requester: master node (or none)
-  kMasterClaim,           // requester -> directory: claim mastership if free
-  kMasterClaimReply,      // directory -> requester: granted / current holder
-  kPeerFetch,             // requester -> master holder: send me a copy
+  kPeerFetch = 0,         // requester -> master holder: send me a copy
   kPeerFetchReply,        // holder -> requester: block bytes (or a miss)
   kRedirect,              // stale-hint hop: probed node bounces the request
   kHomeRead,              // requester -> home node: read blocks from disk
   kBlockData,             // home -> requester: disk blocks shipped over
   kMasterForward,         // evicting node -> target: adopt this master
   kMasterForwardAck,      // target -> evicting node: accepted / rejected
-  kEvictionNotice,        // node -> directory: a master was dropped
   kInvalidateFile,        // writer/API -> node: drop every block of a file
   kInvalidateBlock,       // writer -> node: drop one block (copy or master)
   kInvalidateAck,         // node -> writer
@@ -110,7 +105,7 @@ inline constexpr std::uint8_t kFlagTransferred = 1u << 5;  // ownership moved
 inline constexpr std::uint8_t kFlagGranted = 1u << 6;      // claim succeeded
 
 struct Message {
-  MsgKind kind = MsgKind::kBlockLookup;
+  MsgKind kind = MsgKind::kPeerFetch;
   NodeId from = cache::kInvalidNode;
   NodeId to = cache::kInvalidNode;
   BlockId block{0, 0};
@@ -140,12 +135,6 @@ struct Message {
   friend bool operator==(const Message&, const Message&) = default;
 
   // ---- named constructors (the only places field conventions live) ----
-  static Message block_lookup(NodeId from, const BlockId& b);
-  static Message lookup_reply(NodeId to, const BlockId& b, NodeId master,
-                              bool misdirected);
-  static Message master_claim(NodeId from, const BlockId& b);
-  static Message claim_reply(NodeId to, const BlockId& b, bool granted,
-                             NodeId holder);
   static Message peer_fetch(NodeId from, NodeId to, const BlockId& b,
                             bool misdirected);
   static Message peer_fetch_reply(NodeId from, NodeId to, const BlockId& b,
@@ -160,7 +149,6 @@ struct Message {
                                 std::uint64_t bytes);
   static Message forward_ack(NodeId from, NodeId to, const BlockId& b,
                              bool accepted, bool promoted);
-  static Message eviction_notice(NodeId from, const BlockId& b);
   static Message invalidate_file(NodeId from, NodeId to, FileId file,
                                  std::uint32_t blocks);
   static Message invalidate_block(NodeId from, NodeId to, const BlockId& b,

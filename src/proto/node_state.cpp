@@ -2,6 +2,9 @@
 
 #include <cassert>
 #include <limits>
+#include <string>
+
+#include "util/audit.hpp"
 
 namespace coop::proto {
 
@@ -141,6 +144,29 @@ bool NodeState::relinquish_master(const cache::BlockId& b) {
   if (!cache_.is_master(b)) return false;
   cache_.erase(b);
   return true;
+}
+
+std::size_t NodeState::audit(const char* context) const {
+  std::size_t ccm_audit_failures = 0;
+  const std::string ctx = std::string(" [") + context + "]";
+  // A single entry wider than the whole capacity is admitted degenerately
+  // (whole-file mode); anything else is a real overflow.
+  CCM_AUDIT(cache_.used_blocks() <= cache_.capacity_blocks() ||
+                cache_.entry_count() <= 1,
+            "cache-occupancy",
+            "node " + std::to_string(id_) + " uses " +
+                std::to_string(cache_.used_blocks()) + " of " +
+                std::to_string(cache_.capacity_blocks()) + " blocks" + ctx);
+  // Slot accounting must agree with the entry books.
+  std::uint64_t slots = 0;
+  for (const auto& e : cache_.masters()) slots += cache_.slots_of(e.block);
+  for (const auto& e : cache_.copies()) slots += cache_.slots_of(e.block);
+  CCM_AUDIT(slots == cache_.used_blocks(), "cache-slot-accounting",
+            "node " + std::to_string(id_) + " books " +
+                std::to_string(cache_.used_blocks()) +
+                " used blocks but entries cover " + std::to_string(slots) +
+                ctx);
+  return ccm_audit_failures;
 }
 
 void NodeState::publish() {

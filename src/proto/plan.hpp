@@ -18,7 +18,7 @@
 #include <optional>
 #include <vector>
 
-#include "cache/coop_cache.hpp"
+#include "cache/policy.hpp"
 #include "proto/message.hpp"
 
 namespace coop::proto {

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/coop_cache.hpp"
+#include "cache/policy.hpp"
 #include "hw/params.hpp"
 #include "obs/perfetto.hpp"
 #include "server/client.hpp"

@@ -18,14 +18,23 @@
 #include "sim/engine.hpp"
 #include "util/audit.hpp"
 
+namespace coop::proto {
+
+struct DirectoryServiceTestPeer {
+  static cache::HintedDirectory& hints(DirectoryService& d) { return d.hints_; }
+};
+
+}  // namespace coop::proto
+
 namespace coop::cache {
 
 struct ClusterCacheTestPeer {
-  static std::vector<NodeCache>& nodes(ClusterCache& cc) { return cc.nodes_; }
-  static PerfectDirectory& directory(ClusterCache& cc) {
-    return cc.directory_;
+  static proto::NodeState& node(ClusterCache& cc, NodeId n) {
+    return *cc.nodes_[n];
   }
-  static HintedDirectory& hints(ClusterCache& cc) { return cc.hints_; }
+  static proto::DirectoryService& directory(ClusterCache& cc) {
+    return cc.dir_;
+  }
 };
 
 struct HintedDirectoryTestPeer {
@@ -125,8 +134,7 @@ TEST(ClusterCacheAudit, DuplicateMasterTrips) {
   ASSERT_TRUE(cc.node(0).is_master(BlockId{1, 0}));
   // A second master copy of the same block appears at node 1 — the protocol
   // must never allow this (at most one master per block cluster-wide).
-  ClusterCacheTestPeer::nodes(cc)[1].insert(BlockId{1, 0}, /*master=*/true,
-                                            /*age=*/99);
+  ClusterCacheTestPeer::node(cc, 1).insert_master(BlockId{1, 0}, /*age=*/99);
   coop::audit::Recorder rec;
   EXPECT_GT(cc.audit("corrupt"), 0u);
   EXPECT_TRUE(rec.saw("cache-master-registered"));  // node 1 not registered
@@ -138,7 +146,7 @@ TEST(ClusterCacheAudit, DanglingDirectoryEntryTrips) {
   ClusterCache cc(cc_config(2, 8));
   cc.access(0, 1, kBlock);
   // Directory claims a master that no node caches.
-  ClusterCacheTestPeer::directory(cc).set_master(BlockId{7, 3}, 1);
+  ASSERT_TRUE(ClusterCacheTestPeer::directory(cc).try_claim(BlockId{7, 3}, 1));
   coop::audit::Recorder rec;
   EXPECT_EQ(cc.audit("corrupt"), 1u);
   EXPECT_TRUE(rec.saw("cache-single-master"));
@@ -150,10 +158,8 @@ TEST(ClusterCacheAudit, OverOccupancyTrips) {
   cc.access(0, 1, kBlock);
   cc.access(0, 2, kBlock);  // node 0 now full (2 of 2 blocks)
   // Two more copies leak in without eviction — an accounting overflow.
-  ClusterCacheTestPeer::nodes(cc)[0].insert(BlockId{8, 0}, /*master=*/false,
-                                            /*age=*/50);
-  ClusterCacheTestPeer::nodes(cc)[0].insert(BlockId{9, 0}, /*master=*/false,
-                                            /*age=*/51);
+  ClusterCacheTestPeer::node(cc, 0).insert_copy(BlockId{8, 0}, /*age=*/50);
+  ClusterCacheTestPeer::node(cc, 0).insert_copy(BlockId{9, 0}, /*age=*/51);
   coop::audit::Recorder rec;
   EXPECT_GT(cc.audit("corrupt"), 0u);
   EXPECT_TRUE(rec.saw("cache-occupancy"));
@@ -165,7 +171,7 @@ TEST(ClusterCacheAudit, SlotAccountingDriftTrips) {
   // Erasing a block that was never cached silently decrements the used-slot
   // book (the assert guarding the precondition is compiled out) — the books
   // no longer cover the entries.
-  ClusterCacheTestPeer::nodes(cc)[0].erase(BlockId{42, 0});
+  ClusterCacheTestPeer::node(cc, 0).erase_entry(BlockId{42, 0});
   coop::audit::Recorder rec;
   EXPECT_GT(cc.audit("corrupt"), 0u);
   EXPECT_TRUE(rec.saw("cache-slot-accounting"));
@@ -176,7 +182,9 @@ TEST(ClusterCacheAudit, HintTruthDivergenceTrips) {
   cc.access(0, 1, kBlock);
   ASSERT_TRUE(cc.node(0).is_master(BlockId{1, 0}));
   // The hint layer's authoritative record drifts to the wrong (valid) node.
-  HintedDirectoryTestPeer::truth(ClusterCacheTestPeer::hints(cc))[BlockId{1, 0}]
+  HintedDirectoryTestPeer::truth(
+      proto::DirectoryServiceTestPeer::hints(
+          ClusterCacheTestPeer::directory(cc)))[BlockId{1, 0}]
       .node = 1;
   coop::audit::Recorder rec;
   EXPECT_GT(cc.audit("corrupt"), 0u);

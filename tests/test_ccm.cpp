@@ -14,6 +14,7 @@
 #include <thread>
 #include <tuple>
 
+#include "cache/coop_cache.hpp"
 #include "ccm/cluster.hpp"
 #include "ccm/storage.hpp"
 #include "ccm/transport.hpp"
@@ -314,44 +315,61 @@ TEST(CcmCluster, HintedDirectoryModeWorks) {
 
 TEST(CcmCluster, PolicyParityWithBareClusterCache) {
   // Cross-layer validation: a sequential workload must drive the middleware
-  // through exactly the policy transitions the bare engine performs — the
-  // simulator-validated behaviors carry over to the runtime verbatim.
+  // through exactly the policy transitions the simulator's serial driver
+  // performs, in every directory mode and policy — the simulator-validated
+  // behaviors carry over to the runtime verbatim.
   const auto sizes = make_sizes(40, /*seed=*/21);
-  CcmConfig mc = small_config(3, 16);
-  mc.workers_per_node = 1;
-  // Parity is against the bare engine's strictly per-block transitions; the
-  // batched read path amortizes them (one local-hit pass, grouped claims),
-  // which is equivalent in content but not in LRU trace. The singles
-  // protocol is the one that must stay step-identical.
-  mc.batch_directory = false;
-  CcmCluster cluster(mc, std::make_shared<MemStorage>(sizes));
+  for (const auto dir :
+       {cache::DirectoryMode::kPerfect, cache::DirectoryMode::kHinted}) {
+    for (const auto policy :
+         {cache::Policy::kBasic, cache::Policy::kNeverEvictMaster}) {
+      const bool hinted = dir == cache::DirectoryMode::kHinted;
+      SCOPED_TRACE(std::string(hinted ? "hinted" : "perfect") + " / " +
+                   (policy == cache::Policy::kBasic ? "CC-Basic" : "CC-NEM"));
+      CcmConfig mc = small_config(3, 16);
+      mc.policy = policy;
+      mc.directory = dir;
+      mc.workers_per_node = 1;
+      // Parity is against the serial driver's strictly per-block
+      // transitions; the batched read path amortizes them (one local-hit
+      // pass, grouped claims), which is equivalent in content but not in LRU
+      // trace. The singles protocol is the one that must stay step-identical.
+      mc.batch_directory = false;
+      CcmCluster cluster(mc, std::make_shared<MemStorage>(sizes));
 
-  cache::CoopCacheConfig cc;
-  cc.nodes = 3;
-  cc.capacity_bytes = 16 * kBlock;
-  cc.block_bytes = kBlock;
-  cc.policy = mc.policy;
-  cache::ClusterCache bare(cc);
+      cache::CoopCacheConfig cc;
+      cc.nodes = 3;
+      cc.capacity_bytes = 16 * kBlock;
+      cc.block_bytes = kBlock;
+      cc.policy = policy;
+      cc.directory = dir;
+      cache::ClusterCache bare(cc);
 
-  sim::Rng rng(33);
-  const sim::ZipfSampler zipf(40, 0.8);
-  for (int i = 0; i < 1500; ++i) {
-    const auto f = static_cast<cache::FileId>(zipf.sample(rng));
-    const auto via = static_cast<cache::NodeId>(rng.uniform_int(3));
-    cluster.read(via, f);
-    bare.access(via, f, sizes[f]);
-  }
-  const auto a = cluster.stats();
-  const auto& b = bare.stats();
-  EXPECT_EQ(a.local_hits, b.local_hits);
-  EXPECT_EQ(a.remote_hits, b.remote_hits);
-  EXPECT_EQ(a.disk_reads, b.disk_reads);
-  EXPECT_EQ(a.forwards_attempted, b.forwards_attempted);
-  EXPECT_EQ(a.forwards_accepted, b.forwards_accepted);
-  EXPECT_EQ(a.master_drops, b.master_drops);
-  EXPECT_EQ(a.copy_drops, b.copy_drops);
-  for (cache::NodeId n = 0; n < 3; ++n) {
-    EXPECT_EQ(cluster.cached_bytes(n), bare.node(n).used_blocks() * kBlock);
+      sim::Rng rng(33);
+      const sim::ZipfSampler zipf(40, 0.8);
+      for (int i = 0; i < 1500; ++i) {
+        const auto f = static_cast<cache::FileId>(zipf.sample(rng));
+        const auto via = static_cast<cache::NodeId>(rng.uniform_int(3));
+        cluster.read(via, f);
+        bare.access(via, f, sizes[f]);
+      }
+      const auto a = cluster.stats();
+      const auto b = bare.stats();
+      EXPECT_EQ(a.local_hits, b.local_hits);
+      EXPECT_EQ(a.remote_hits, b.remote_hits);
+      EXPECT_EQ(a.disk_reads, b.disk_reads);
+      EXPECT_EQ(a.forwards_attempted, b.forwards_attempted);
+      EXPECT_EQ(a.forwards_accepted, b.forwards_accepted);
+      EXPECT_EQ(a.master_drops, b.master_drops);
+      EXPECT_EQ(a.copy_drops, b.copy_drops);
+      EXPECT_EQ(a.directory.hint_misdirects, b.hint_misdirects);
+      if (hinted) {
+        EXPECT_GT(b.hint_misdirects, 0u);
+      }
+      for (cache::NodeId n = 0; n < 3; ++n) {
+        EXPECT_EQ(cluster.cached_bytes(n), bare.node(n).used_blocks() * kBlock);
+      }
+    }
   }
 }
 

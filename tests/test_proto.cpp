@@ -1,17 +1,17 @@
-// Protocol-layer tests: wire round-trips, plan lowering, and — the load-
-// bearing one — serial parity between the sharded building blocks
-// (proto::NodeState + proto::DirectoryService) and the monolithic
-// cache::ClusterCache policy engine. The runtime (ccm::CcmCluster) is these
-// pieces plus locks; if the pieces match the oracle action for action, the
-// runtime's policy decisions are ClusterCache's.
+// Protocol-layer tests: wire round-trips, the batched directory codec, plan
+// lowering, the forward-target rule, and the directory service's race
+// conditions. The policy pieces tested here (proto::NodeState +
+// proto::DirectoryService) are the one replacement-policy engine: the
+// simulator drives them serially through cache::ClusterCache
+// (tests/test_coop_cache.cpp) and the runtime shards them (tests/test_ccm.cpp,
+// whose PolicyParityWithBareClusterCache checks that the two drivers agree).
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "cache/coop_cache.hpp"
+#include "cache/policy.hpp"
 #include "proto/dir_batch.hpp"
 #include "proto/directory_service.hpp"
 #include "proto/message.hpp"
@@ -28,12 +28,6 @@ constexpr std::uint32_t kBlock = 8 * 1024;
 std::vector<Message> all_message_kinds() {
   const BlockId b{7, 3};
   return {
-      Message::block_lookup(1, b),
-      Message::lookup_reply(1, b, 2, /*misdirected=*/true),
-      Message::lookup_reply(1, b, cache::kInvalidNode, false),
-      Message::master_claim(0, b),
-      Message::claim_reply(0, b, /*granted=*/true, 0),
-      Message::claim_reply(0, b, /*granted=*/false, 3),
       Message::peer_fetch(0, 2, b, /*misdirected=*/true),
       Message::peer_fetch_reply(2, 0, b, /*hit=*/true, 8192),
       Message::redirect(2, 0, b),
@@ -41,7 +35,6 @@ std::vector<Message> all_message_kinds() {
       Message::block_data(1, 0, b, 4, 4 * 8192),
       Message::master_forward(0, 3, b, /*age=*/99, /*slots=*/2, 8192),
       Message::forward_ack(3, 0, b, /*accepted=*/true, /*promoted=*/true),
-      Message::eviction_notice(3, b),
       Message::invalidate_file(0, 1, b.file, 6),
       Message::invalidate_block(0, 1, b, /*drop_master=*/true),
       Message::invalidate_ack(1, 0),
@@ -64,14 +57,14 @@ TEST(WireFormat, EveryNamedConstructorRoundTrips) {
 }
 
 TEST(WireFormat, DecodeRejectsShortInput) {
-  const WireBytes wire = encode(Message::block_lookup(0, {1, 2}));
+  const WireBytes wire = encode(Message::peer_fetch(0, 1, {1, 2}, false));
   for (std::size_t len = 0; len < kWireSize; ++len) {
     EXPECT_FALSE(decode({wire.data(), len}).has_value()) << len;
   }
 }
 
 TEST(WireFormat, DecodeRejectsUnknownKind) {
-  WireBytes wire = encode(Message::block_lookup(0, {1, 2}));
+  WireBytes wire = encode(Message::peer_fetch(0, 1, {1, 2}, false));
   wire[0] = static_cast<std::byte>(kMsgKindCount);
   EXPECT_FALSE(decode(wire).has_value());
   wire[0] = static_cast<std::byte>(0xFF);
@@ -380,219 +373,6 @@ TEST(ForwardTarget, GloballyOldestMasterGetsNoSecondChance) {
   EXPECT_FALSE(holds_globally_oldest(1, 10, 4, view));
 }
 
-// -------------------------------------------- NodeState vs ClusterCache ---
-
-/// Serial re-implementation of the runtime's orchestration over the shared
-/// protocol pieces: the same transitions CcmCluster runs under shard locks,
-/// minus the locks and messages. Drives NodeState + DirectoryService with
-/// the runtime's tick conventions (local hit 1 tick; remote hit 2 ticks —
-/// holder touch then requester insert; miss 1 tick; evictions/forwards tick
-/// nothing) so the outcome must equal ClusterCache on the same script.
-class SerialHarness {
- public:
-  explicit SerialHarness(const cache::CoopCacheConfig& config)
-      : config_(config),
-        dir_(config.nodes, config.directory, config.hint_staleness) {
-    for (std::size_t n = 0; n < config.nodes; ++n) {
-      nodes_.push_back(std::make_unique<NodeState>(
-          static_cast<cache::NodeId>(n), config));
-    }
-    view_.harness = this;
-  }
-
-  void access(cache::NodeId node, cache::FileId file,
-              std::uint64_t file_bytes) {
-    const std::uint32_t blocks =
-        cache::blocks_for(file_bytes, config_.block_bytes);
-    for (std::uint32_t i = 0; i < blocks; ++i) {
-      access_block(node, BlockId{file, i});
-    }
-  }
-
-  [[nodiscard]] cache::CacheStats summed_stats() const {
-    cache::CacheStats total;
-    for (const auto& n : nodes_) {
-      const cache::CacheStats& s = n->stats();
-      total.local_hits += s.local_hits;
-      total.remote_hits += s.remote_hits;
-      total.disk_reads += s.disk_reads;
-      total.forwards_attempted += s.forwards_attempted;
-      total.forwards_accepted += s.forwards_accepted;
-      total.master_drops += s.master_drops;
-      total.copy_drops += s.copy_drops;
-    }
-    total.hint_misdirects = dir_.ops().hint_misdirects;
-    return total;
-  }
-
-  [[nodiscard]] const NodeState& node(cache::NodeId n) const {
-    return *nodes_[n];
-  }
-  [[nodiscard]] const DirectoryService& directory() const { return dir_; }
-
- private:
-  struct View final : PeerView {
-    const SerialHarness* harness = nullptr;
-    [[nodiscard]] std::uint64_t peer_oldest_age(
-        cache::NodeId n) const override {
-      return harness->nodes_[n]->published_oldest_age();
-    }
-    [[nodiscard]] bool peer_full(cache::NodeId n) const override {
-      return harness->nodes_[n]->published_full();
-    }
-  };
-
-  std::uint64_t tick() { return ++clock_; }
-
-  void apply_drops(const std::vector<cache::Drop>& drops) {
-    for (const auto& d : drops) {
-      if (d.was_master) dir_.master_dropped(d.block, d.node);
-    }
-  }
-
-  void make_room(NodeState& st, std::uint32_t slots = 1) {
-    std::vector<cache::Drop> drops;
-    for (;;) {
-      drops.clear();
-      const auto pf = st.make_room(slots, view_, drops);
-      apply_drops(drops);
-      st.publish();
-      if (!pf) return;
-      forward(st, *pf);
-    }
-  }
-
-  void forward(NodeState& st, const PendingForward& pf) {
-    const cache::NodeId to =
-        pick_forward_target(st.id(), nodes_.size(), view_);
-    if (to == cache::kInvalidNode) {
-      dir_.master_dropped(pf.block, st.id());
-      ++st.stats().master_drops;
-      return;
-    }
-    const auto epoch = dir_.begin_forward(pf.block, st.id());
-    ASSERT_TRUE(epoch.has_value()) << "serial forward cannot be superseded";
-    NodeState& dest = *nodes_[to];
-    std::vector<cache::Drop> dest_drops;
-    const ForwardOutcome outcome = dest.handle_forward(pf, dest_drops);
-    apply_drops(dest_drops);
-    bool accepted = false;
-    if (outcome != ForwardOutcome::kRejected &&
-        dir_.claim_forwarded(pf.block, to, st.id(), *epoch)) {
-      accepted = true;
-    } else if (outcome == ForwardOutcome::kAccepted) {
-      dest.erase_entry(pf.block);  // claim lost: undo the insert
-    } else if (outcome == ForwardOutcome::kPromoted) {
-      dest.demote_to_copy(pf.block);
-    }
-    dest.publish();
-    if (accepted) {
-      ++st.stats().forwards_accepted;
-    } else {
-      dir_.forward_rejected(pf.block, st.id());
-      ++st.stats().master_drops;
-    }
-  }
-
-  void access_block(cache::NodeId node, const BlockId& b) {
-    NodeState& st = *nodes_[node];
-    if (st.contains(b)) {
-      st.touch(b, tick());
-      ++st.stats().local_hits;
-      st.publish();
-      return;
-    }
-    const auto lk = dir_.lookup_for_read(node, b);
-    if (lk.master != cache::kInvalidNode && lk.master != node) {
-      NodeState& holder = *nodes_[lk.master];
-      ASSERT_TRUE(holder.is_master(b)) << "serial directory must be exact";
-      holder.touch(b, tick());
-      holder.publish();
-      ++st.stats().remote_hits;
-      make_room(st);
-      st.insert_copy(b, tick());
-      st.publish();
-      return;
-    }
-    make_room(st);
-    ASSERT_TRUE(dir_.try_claim(b, node)) << "serial claim cannot conflict";
-    ++st.stats().disk_reads;
-    st.insert_master(b, tick());
-    st.publish();
-  }
-
-  cache::CoopCacheConfig config_;
-  DirectoryService dir_;
-  std::vector<std::unique_ptr<NodeState>> nodes_;
-  View view_;
-  std::uint64_t clock_ = 0;
-};
-
-class ProtoParityParam : public testing::TestWithParam<cache::Policy> {};
-
-TEST_P(ProtoParityParam, SerialScriptMatchesClusterCacheOracle) {
-  cache::CoopCacheConfig config;
-  config.nodes = 4;
-  config.capacity_bytes = 8 * kBlock;  // tiny: constant eviction churn
-  config.block_bytes = kBlock;
-  config.policy = GetParam();
-
-  const std::size_t kFiles = 10;
-  const auto file_bytes = [](cache::FileId f) -> std::uint64_t {
-    return (f % 3 + 1) * kBlock - (f % 2) * 700;
-  };
-
-  cache::ClusterCache oracle(config);
-  SerialHarness harness(config);
-
-  // Deterministic churn script: enough accesses to exercise hits, misses,
-  // evictions, master forwards, promotions, and rejections on both sides.
-  for (int i = 0; i < 400; ++i) {
-    const auto node = static_cast<cache::NodeId>((7 * i + i * i) % 4);
-    const auto file = static_cast<cache::FileId>((13 * i + 5) % kFiles);
-    oracle.access(node, file, file_bytes(file));
-    harness.access(node, file, file_bytes(file));
-  }
-
-  // Identical statistics...
-  const cache::CacheStats& want = oracle.stats();
-  const cache::CacheStats got = harness.summed_stats();
-  EXPECT_EQ(got.local_hits, want.local_hits);
-  EXPECT_EQ(got.remote_hits, want.remote_hits);
-  EXPECT_EQ(got.disk_reads, want.disk_reads);
-  EXPECT_EQ(got.forwards_attempted, want.forwards_attempted);
-  EXPECT_EQ(got.forwards_accepted, want.forwards_accepted);
-  EXPECT_EQ(got.master_drops, want.master_drops);
-  EXPECT_EQ(got.copy_drops, want.copy_drops);
-
-  // ...and identical cache contents, mastership, and directory census.
-  std::size_t masters = 0;
-  for (cache::NodeId n = 0; n < 4; ++n) {
-    const cache::NodeCache& a = harness.node(n).cache();
-    const cache::NodeCache& b = oracle.node(n);
-    EXPECT_EQ(a.used_blocks(), b.used_blocks()) << "node " << n;
-    EXPECT_EQ(a.master_count(), b.master_count()) << "node " << n;
-    EXPECT_EQ(a.copy_count(), b.copy_count()) << "node " << n;
-    for (cache::FileId f = 0; f < kFiles; ++f) {
-      const std::uint32_t blocks =
-          cache::blocks_for(file_bytes(f), config.block_bytes);
-      for (std::uint32_t idx = 0; idx < blocks; ++idx) {
-        const BlockId b_id{f, idx};
-        EXPECT_EQ(a.contains(b_id), b.contains(b_id))
-            << "node " << n << " block " << f << "/" << idx;
-        EXPECT_EQ(a.is_master(b_id), b.is_master(b_id))
-            << "node " << n << " block " << f << "/" << idx;
-      }
-    }
-    masters += a.master_count();
-  }
-  EXPECT_EQ(harness.directory().master_count(), masters);
-}
-
-INSTANTIATE_TEST_SUITE_P(Policies, ProtoParityParam,
-                         testing::Values(cache::Policy::kBasic,
-                                         cache::Policy::kNeverEvictMaster));
-
 // -------------------------------------------------- directory conditions ---
 
 TEST(DirectoryService, ClaimIsSetIfAbsent) {
@@ -710,22 +490,6 @@ TEST(DirectoryService, WriteSpanBlocksReadCachingUntilItCloses) {
   EXPECT_FALSE(dir.read_cacheable(b.file, dir.file_epoch(b.file)));
   dir.write_end(b.file);
   EXPECT_TRUE(dir.read_cacheable(b.file, dir.file_epoch(b.file)));
-}
-
-TEST(DirectoryService, MessageAdapterAnswersLookupAndClaim) {
-  DirectoryService dir(4, cache::DirectoryMode::kPerfect, 1);
-  const BlockId b{3, 0};
-  const Message miss = dir.handle(Message::block_lookup(1, b));
-  EXPECT_EQ(miss.kind, MsgKind::kBlockLookupReply);
-  EXPECT_FALSE(miss.has(kFlagHit));
-
-  const Message granted = dir.handle(Message::master_claim(1, b));
-  EXPECT_EQ(granted.kind, MsgKind::kMasterClaimReply);
-  EXPECT_TRUE(granted.has(kFlagGranted));
-
-  const Message hit = dir.handle(Message::block_lookup(2, b));
-  EXPECT_TRUE(hit.has(kFlagHit));
-  EXPECT_EQ(hit.from, 1);  // reply names the master holder
 }
 
 // -------------------------------------- batched vs singles equivalence ---
