@@ -78,8 +78,8 @@ class NodeCache {
   /// a copy.
   void promote_to_master(const BlockId& b);
 
-  /// Demotes a master to a non-master copy (hinted-directory mode: another
-  /// node unknowingly re-created the master). Precondition: present as a
+  /// Demotes a master to a non-master copy (the runtime undoing a promotion
+  /// whose forwarded-master claim lost a race). Precondition: present as a
   /// master.
   void demote_to_copy(const BlockId& b);
 
