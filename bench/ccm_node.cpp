@@ -22,8 +22,7 @@
 //   --workers=N          max concurrent operations per node   (default 2)
 //   --blocks-per-node, --files, --file-blocks, --drivers,
 //   --iters, --write-pct, --invalidate-pct, --seed, --policy, --directory,
-//   --batch, --deterministic-writes   as in ccm_stress (pass --batch to
-//                        every process alike)
+//   --deterministic-writes   as in ccm_stress
 //   --dump-storage=PATH  home only: final storage bytes -> PATH
 //   --connect-timeout-ms=N   peer dial/mesh deadline          (default 20000)
 //   --json[=PATH]        emit a JSON report (stdout or PATH), including a
@@ -123,7 +122,6 @@ int main(int argc, char** argv) {
   cfg.directory = flags.get("directory", "perfect") == "hinted"
                       ? cache::DirectoryMode::kHinted
                       : cache::DirectoryMode::kPerfect;
-  cfg.batch_directory = flags.get_bool("batch", true);
 
   ccm_bench::Workload wl;
   wl.nodes = nodes;
@@ -364,7 +362,6 @@ int main(int argc, char** argv) {
     j.key("iters").value(static_cast<std::int64_t>(wl.iters));
     j.key("elapsed_seconds").value(secs);
     j.key("ops_per_second").value(secs > 0 ? local_ops / secs : 0.0);
-    j.key("batch").value(cfg.batch_directory);
     j.key("consistent").value(consistent);
     j.key("read_check_failures").value(read_check_failures);
     j.key("totals").begin_object();

@@ -18,10 +18,6 @@
 //   --seed=N             workload RNG seed                (default 1)
 //   --policy=nem|basic   eviction policy                  (default nem)
 //   --directory=perfect|hinted                            (default perfect)
-//   --batch=0|1          batch directory ops on multi-block reads and
-//                        eviction sweeps (default 1); 0 restores the
-//                        one-RPC-per-op protocol — the perf-smoke CI job
-//                        runs both and asserts the trip reduction
 //   --deterministic-writes  partition write targets per driver so the final
 //                           storage bytes are schedule-independent (the
 //                           multi-process equality harness; needs
@@ -131,7 +127,6 @@ int main(int argc, char** argv) {
   cfg.directory = flags.get("directory", "perfect") == "hinted"
                       ? cache::DirectoryMode::kHinted
                       : cache::DirectoryMode::kPerfect;
-  cfg.batch_directory = flags.get_bool("batch", true);
 
   ccm_bench::Workload wl;
   wl.nodes = nodes;
@@ -268,7 +263,6 @@ int main(int argc, char** argv) {
     j.key("directory").value(cfg.directory == cache::DirectoryMode::kHinted
                                  ? "hinted"
                                  : "perfect");
-    j.key("batch").value(cfg.batch_directory);
     j.end_object();
     j.key("elapsed_seconds").value(secs);
     j.key("ops_per_second").value(total_ops / secs);
@@ -319,8 +313,8 @@ int main(int argc, char** argv) {
     j.key("hint_misdirects").value(s.directory.hint_misdirects);
     j.key("masters_purged").value(s.directory.masters_purged);
     j.end_object();
-    // The batching headline: trips is what the ≥4x perf-smoke assertion and
-    // the throughput comparison key on.
+    // The batching headline: trips is what the perf-smoke trips-per-op
+    // ceiling and the throughput comparison key on.
     j.key("directory_client").begin_object();
     j.key("singles").value(s.dir_client.singles);
     j.key("batches").value(s.dir_client.batches);

@@ -110,41 +110,6 @@ if grep -h "payload copies" "$WORK"/node*.log | grep -qv "payload copies 0"; the
 fi
 echo "OK: zero send-side payload copies on every node"
 
-# Same cluster with directory batching off: the batched protocol is an
-# amortization, not a semantic change, so the final storage bytes must not
-# move. (Different port base: the previous mesh's sockets may linger.)
-echo "== $NODES-process loopback cluster, batching off (equivalence) =="
-PORT_NB=$((PORT_BASE + 100))
-for ((i = 1; i < NODES; i++)); do
-  "$BUILD/bench/ccm_node" --node="$i" --port-base="$PORT_NB" \
-      "${COMMON[@]}" --batch=0 $(lockcheck_report "nobatch$i") \
-      >"$WORK/nobatch$i.log" 2>&1 &
-  pids+=($!)
-done
-"$BUILD/bench/ccm_node" --node=0 --port-base="$PORT_NB" "${COMMON[@]}" \
-    --batch=0 $(lockcheck_report nobatch0) \
-    --dump-storage="$WORK/multiproc-nobatch.bin" >"$WORK/nobatch0.log" 2>&1
-rc=0
-for pid in "${pids[@]}"; do
-  wait "$pid" || rc=$?
-done
-pids=()
-if [[ $rc -ne 0 ]]; then
-  for ((i = 0; i < NODES; i++)); do
-    sed "s/^/  [nobatch $i] /" "$WORK/nobatch$i.log"
-  done
-  echo "FAIL: a peer process exited non-zero in the unbatched run" >&2
-  exit 1
-fi
-MD5_BATCHED=$(md5sum <"$WORK/multiproc.bin" | cut -d' ' -f1)
-MD5_UNBATCHED=$(md5sum <"$WORK/multiproc-nobatch.bin" | cut -d' ' -f1)
-if [[ "$MD5_BATCHED" == "$MD5_UNBATCHED" ]]; then
-  echo "OK: batched and unbatched clusters agree byte-for-byte (md5 $MD5_BATCHED)"
-else
-  echo "FAIL: storage md5 differs: batched $MD5_BATCHED vs unbatched $MD5_UNBATCHED" >&2
-  exit 1
-fi
-
 if [[ -n "$METRICS_DIR" ]]; then
   echo "== offline aggregation (ccm_metrics) =="
   "$BUILD/tools/ccm_metrics/ccm_metrics" \

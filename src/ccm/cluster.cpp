@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -470,7 +471,7 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
         home_dir_->apply_batch(req->node, req->items, results);
       }
       // A malformed request answers with zero results; the client sees the
-      // count mismatch and falls back to the singles protocol.
+      // count mismatch and fails the call.
       auto payload = proto::encode_dir_batch_reply(results);
       const auto bytes = static_cast<std::uint64_t>(payload.size());
       return {proto::Message::dir_batch_reply(
@@ -479,17 +480,13 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
               net::make_ready_block(std::move(payload))};
     }
 
-    case proto::MsgKind::kDirLookupRead:
     case proto::MsgKind::kDirLookup:
-    case proto::MsgKind::kDirTryClaim:
     case proto::MsgKind::kDirBeginForward:
     case proto::MsgKind::kDirClaimForwarded:
     case proto::MsgKind::kDirForwardRejected:
-    case proto::MsgKind::kDirMasterDropped:
     case proto::MsgKind::kDirWriteClaim:
     case proto::MsgKind::kDirWriteBegin:
     case proto::MsgKind::kDirWriteEnd:
-    case proto::MsgKind::kDirReadCacheable:
     case proto::MsgKind::kDirInvalidateFile:
     case proto::MsgKind::kDirPurgeNode:
       return handle_directory(self, msg);
@@ -553,22 +550,9 @@ CcmCluster::Reply CcmCluster::handle_directory(cache::NodeId self,
   proto::DirectoryService& d = *home_dir_;
   const cache::NodeId to = msg.from;
   switch (msg.kind) {
-    case proto::MsgKind::kDirLookupRead: {
-      const auto lk = d.lookup_for_read(msg.from, msg.block);
-      return {proto::Message::dir_reply(self, to, msg.block, lk.master,
-                                        lk.epoch, /*granted=*/false,
-                                        lk.misdirected),
-              nullptr};
-    }
     case proto::MsgKind::kDirLookup:
       return {proto::Message::dir_reply(self, to, msg.block,
                                         d.lookup(msg.block), 0, false, false),
-              nullptr};
-    case proto::MsgKind::kDirTryClaim:
-      return {proto::Message::dir_reply(self, to, msg.block,
-                                        cache::kInvalidNode, 0,
-                                        d.try_claim(msg.block, msg.from),
-                                        false),
               nullptr};
     case proto::MsgKind::kDirBeginForward: {
       const auto epoch = d.begin_forward(msg.block, msg.from);
@@ -592,11 +576,6 @@ CcmCluster::Reply CcmCluster::handle_directory(cache::NodeId self,
       return {proto::Message::dir_reply(self, to, msg.block,
                                         cache::kInvalidNode, 0, true, false),
               nullptr};
-    case proto::MsgKind::kDirMasterDropped:
-      d.master_dropped(msg.block, msg.from);
-      return {proto::Message::dir_reply(self, to, msg.block,
-                                        cache::kInvalidNode, 0, true, false),
-              nullptr};
     case proto::MsgKind::kDirWriteClaim:
       return {proto::Message::dir_reply(self, to, msg.block,
                                         d.write_claim(msg.block, msg.from), 0,
@@ -611,11 +590,6 @@ CcmCluster::Reply CcmCluster::handle_directory(cache::NodeId self,
       d.write_end(msg.block.file);
       return {proto::Message::dir_reply(self, to, msg.block,
                                         cache::kInvalidNode, 0, true, false),
-              nullptr};
-    case proto::MsgKind::kDirReadCacheable:
-      return {proto::Message::dir_reply(
-                  self, to, msg.block, cache::kInvalidNode, 0,
-                  d.read_cacheable(msg.block.file, msg.age), false),
               nullptr};
     case proto::MsgKind::kDirInvalidateFile:
       d.invalidate_file(msg.block.file);
@@ -645,16 +619,16 @@ CcmCluster::Reply CcmCluster::handle_directory(cache::NodeId self,
 void CcmCluster::drop_masters(cache::NodeId node,
                               const std::vector<cache::BlockId>& dropped) {
   if (dropped.empty()) return;
-  if (config_.batch_directory && dropped.size() > 1) {
-    std::vector<proto::DirBatchItem> items;
-    items.reserve(dropped.size());
-    for (const cache::BlockId& b : dropped) {
-      items.push_back({proto::DirBatchOp::kMasterDropped, b});
-    }
-    dir_->batch(node, items);
+  if (dropped.size() == 1) {
+    dir_->master_dropped(dropped.front(), node);
     return;
   }
-  for (const cache::BlockId& b : dropped) dir_->master_dropped(b, node);
+  std::vector<proto::DirBatchItem> items;
+  items.reserve(dropped.size());
+  for (const cache::BlockId& b : dropped) {
+    items.push_back({proto::DirBatchOp::kMasterDropped, b});
+  }
+  dir_->batch(node, items);
 }
 
 void CcmCluster::make_room_locked(util::UniqueLock<util::CountingMutex>& lock,
@@ -727,146 +701,6 @@ void CcmCluster::make_room_locked(util::UniqueLock<util::CountingMutex>& lock,
   }
 }
 
-// --------------------------------------------------------------- reads ----
-
-CcmCluster::BlockPtr CcmCluster::acquire_block(
-    cache::NodeId node, const cache::BlockId& block,
-    std::vector<std::pair<cache::BlockId, BlockPtr>>& to_read) {
-  Shard& sh = *shards_[node];
-  for (int attempt = 0; attempt < kAcquireAttempts; ++attempt) {
-    if (attempt > 0) std::this_thread::yield();
-
-    // Hot path: a block resident at this node costs one shard lock — no
-    // directory access, no cross-node traffic.
-    {
-      const std::uint64_t lw0 = obs::runtime_now_ns();
-      util::UniqueLock lock(sh.mu);
-      metrics_.record_lock_wait(obs::runtime_now_ns() - lw0);
-      if (const auto it = sh.store.find(block); it != sh.store.end()) {
-        sh.state.touch(block, tick());
-        ++sh.state.stats().local_hits;
-        metrics_.incr(obs::RtCounter::kLocalHit);
-        sh.local_reads.fetch_add(1, std::memory_order_relaxed);
-        sh.state.publish();
-        CCM_AUDIT_HOOK(audit_shard_locked(sh, node, "local_hit"));
-        return it->second;
-      }
-    }
-
-    const auto lk = dir_->lookup_for_read(node, block);
-    if (lk.master == node) {
-      // Directory says the master is here but the store check above missed:
-      // an in-flight transition (our own forward landing back, a write
-      // ownership migration) — settle and retry.
-      continue;
-    }
-
-    if (lk.master != cache::kInvalidNode) {
-      // Remote hit: fetch a copy from the master holder. In hinted mode a
-      // stale hint was already counted (and the request re-chained) by
-      // lookup_for_read, exactly as ClusterCache charges it.
-      Reply reply;
-      try {
-        reply = rpc(proto::Message::peer_fetch(node, lk.master, block,
-                                               lk.misdirected));
-      } catch (const net::TransportError&) {
-        // Master unreachable (crashed, or the link ate every retry): re-read
-        // the directory — a crash purge re-homes the block; otherwise the
-        // bounded acquire loop falls back to an uncached storage read.
-        continue;
-      }
-      if (!reply.msg.has(proto::kFlagHit) || !reply.data) {
-        continue;  // the master moved while the fetch was in flight
-      }
-      const std::uint64_t lw1 = obs::runtime_now_ns();
-      util::UniqueLock lock(sh.mu);
-      metrics_.record_lock_wait(obs::runtime_now_ns() - lw1);
-      if (const auto it = sh.store.find(block); it != sh.store.end()) {
-        // Another operation via this node cached it while we fetched.
-        sh.state.touch(block, tick());
-        ++sh.state.stats().remote_hits;
-        metrics_.incr(obs::RtCounter::kPeerHit);
-        sh.state.publish();
-        return it->second;
-      }
-      ++sh.state.stats().remote_hits;
-      metrics_.incr(obs::RtCounter::kPeerHit);
-      make_room_locked(lock, node, 1);
-      if (const auto it = sh.store.find(block); it != sh.store.end()) {
-        sh.state.touch(block, tick());
-        sh.state.publish();
-        return it->second;
-      }
-      // Don't cache a copy whose master moved — or whose file has a write in
-      // flight or a bumped epoch — while the fetch was in flight: the
-      // writer's invalidation sweep may already have visited this node and
-      // would never drop a copy planted after it. In-flight writes matter
-      // because a whole lookup→fetch→insert can land inside the write span
-      // (after its claim, before its buffer swap) with no visible directory
-      // change. The bytes themselves are still valid to *return*: a read
-      // racing a write may see the superseded content.
-      if (dir_->lookup(block) != lk.master ||
-          !dir_->read_cacheable(block.file, lk.epoch)) {
-        sh.state.publish();
-        return reply.data;
-      }
-      sh.state.insert_copy(block, tick());
-      sh.store[block] = reply.data;
-      sh.state.publish();
-      CCM_AUDIT_HOOK(audit_shard_locked(sh, node, "remote_hit"));
-      return reply.data;
-    }
-
-    // Miss everywhere: claim mastership and fault the block in from storage.
-    {
-      const std::uint64_t lw2 = obs::runtime_now_ns();
-      util::UniqueLock lock(sh.mu);
-      metrics_.record_lock_wait(obs::runtime_now_ns() - lw2);
-      if (const auto it = sh.store.find(block); it != sh.store.end()) {
-        sh.state.touch(block, tick());
-        ++sh.state.stats().local_hits;
-        metrics_.incr(obs::RtCounter::kLocalHit);
-        sh.local_reads.fetch_add(1, std::memory_order_relaxed);
-        sh.state.publish();
-        return it->second;
-      }
-      make_room_locked(lock, node, 1);
-      if (const auto it = sh.store.find(block); it != sh.store.end()) {
-        sh.state.touch(block, tick());
-        ++sh.state.stats().local_hits;
-        metrics_.incr(obs::RtCounter::kLocalHit);
-        sh.state.publish();
-        return it->second;
-      }
-      if (dir_->try_claim(block, node)) {
-        ++sh.state.stats().disk_reads;
-        metrics_.incr(obs::RtCounter::kMasterClaim);
-        metrics_.incr(obs::RtCounter::kDiskRead);
-        sh.state.insert_master(block, tick());
-        auto data = std::make_shared<BlockData>();
-        sh.store.emplace(block, data);
-        to_read.emplace_back(block, data);
-        sh.state.publish();
-        CCM_AUDIT_HOOK(audit_shard_locked(sh, node, "disk_read"));
-        return data;
-      }
-      sh.state.publish();
-    }
-    // Claim lost: somebody else became the master — retry as a remote hit.
-  }
-
-  // Liveness fallback after pathological churn: serve the read uncached.
-  metrics_.incr(obs::RtCounter::kUncachedFallback);
-  metrics_.incr(obs::RtCounter::kDiskRead);
-  {
-    util::ScopedLock lock(sh.mu);
-    ++sh.state.stats().disk_reads;
-  }
-  auto data = std::make_shared<BlockData>();
-  to_read.emplace_back(block, data);
-  return data;
-}
-
 // ---------------------------------------------------------- hint slots ----
 
 namespace {
@@ -921,7 +755,7 @@ void CcmCluster::hint_clear_file(cache::FileId file) {
   }
 }
 
-// --------------------------------------------------------- batched read ----
+// --------------------------------------------------------------- reads ----
 
 void CcmCluster::acquire_run(
     cache::NodeId node, cache::FileId file, std::uint32_t first,
@@ -930,6 +764,9 @@ void CcmCluster::acquire_run(
   Shard& sh = *shards_[node];
   const std::size_t base = parts.size();
   parts.resize(base + (last - first + 1));  // filled per block, in order
+  const auto slot_of = [&](std::uint32_t index) -> BlockPtr& {
+    return parts[base + (index - first)];
+  };
 
   struct Pending {
     std::uint32_t index;  // block index within `file`
@@ -939,269 +776,281 @@ void CcmCluster::acquire_run(
     bool from_hint = false;
     BlockPtr fetched;  // peer-fetch payload awaiting validation
   };
-  const auto slot_of = [&](const Pending& p) -> BlockPtr& {
-    return parts[base + (p.index - first)];
-  };
 
-  // Pass 1 — local hits: the whole run's resident blocks cost ONE shard-lock
-  // acquisition (the unbatched path pays one per block).
-  std::vector<Pending> pending;
-  {
-    const std::uint64_t lw0 = obs::runtime_now_ns();
-    util::UniqueLock lock(sh.mu);
-    metrics_.record_lock_wait(obs::runtime_now_ns() - lw0);
-    bool any = false;
-    for (std::uint32_t b = first; b <= last; ++b) {
-      const cache::BlockId block{file, b};
-      if (const auto it = sh.store.find(block); it != sh.store.end()) {
-        sh.state.touch(block, tick());
-        ++sh.state.stats().local_hits;
-        metrics_.incr(obs::RtCounter::kLocalHit);
-        sh.local_reads.fetch_add(1, std::memory_order_relaxed);
-        parts[base + (b - first)] = it->second;
-        any = true;
-      } else {
-        Pending p;
-        p.index = b;
-        pending.push_back(p);
-      }
-    }
-    if (any) {
-      sh.state.publish();
-      CCM_AUDIT_HOOK(audit_shard_locked(sh, node, "local_hit"));
-    }
-  }
-  if (pending.empty()) return;
+  // The blocks still unresolved: the whole run on the first attempt, then
+  // the stragglers that raced a transition on the attempt before.
+  std::vector<std::uint32_t> want(last - first + 1);
+  std::iota(want.begin(), want.end(), first);
+  for (int attempt = 0; attempt < kAcquireAttempts && !want.empty();
+       ++attempt) {
+    if (attempt > 0) std::this_thread::yield();
+    std::vector<std::uint32_t> retry;
 
-  // Pass 2 — resolve masters: hint slots answer for free (kPerfect mode);
-  // ONE batched lookup covers the rest. Authoritative answers refresh the
-  // hint slots.
-  const bool use_hints =
-      config_.directory == cache::DirectoryMode::kPerfect;
-  std::vector<proto::DirBatchItem> lookups;
-  std::vector<std::size_t> lookup_owner;
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    Pending& p = pending[i];
-    const cache::BlockId block{file, p.index};
-    if (use_hints) {
-      if (const auto h = hint_probe(block);
-          h && h->master != node && h->master < config_.nodes) {
-        p.master = h->master;
-        p.epoch = h->epoch;
-        p.from_hint = true;
-        hint_hits_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-    }
-    lookups.push_back({proto::DirBatchOp::kLookupRead, block});
-    lookup_owner.push_back(i);
-  }
-  if (!lookups.empty()) {
-    const auto results = dir_->batch(node, lookups);
-    assert(results.size() == lookups.size());
-    for (std::size_t k = 0; k < results.size(); ++k) {
-      Pending& p = pending[lookup_owner[k]];
-      p.master = results[k].node;
-      p.epoch = results[k].epoch;
-      p.misdirected = results[k].has(proto::kFlagMisdirected);
-      if (use_hints && p.master != cache::kInvalidNode && p.master != node) {
-        hint_publish(cache::BlockId{file, p.index}, p.master, p.epoch);
-      }
-    }
-  }
-
-  std::vector<std::size_t> to_claim, to_fetch, fallback;
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (pending[i].master == cache::kInvalidNode) {
-      to_claim.push_back(i);
-    } else if (pending[i].master == node) {
-      // Directory names us but pass 1 missed: an in-flight transition (our
-      // own forward landing back, a write migration) — let the per-block
-      // retry loop settle it.
-      fallback.push_back(i);
-    } else {
-      to_fetch.push_back(i);
-    }
-  }
-
-  // Pass 3 — misses: ONE batched try_claim masters the uncached blocks.
-  // The claim is issued *under the shard lock* with the inserts following in
-  // the same hold, exactly the atomicity the unbatched path gets from
-  // claiming inside its locked scope: a rival writer's ownership migration
-  // (kWriteOwnership needs this lock) cannot interleave between a granted
-  // claim and its insert. Chunked to the cache's capacity so make_room can
-  // always clear space for a chunk before its inserts.
-  if (!to_claim.empty()) {
-    const std::uint64_t lw1 = obs::runtime_now_ns();
-    util::UniqueLock lock(sh.mu);
-    metrics_.record_lock_wait(obs::runtime_now_ns() - lw1);
-    const std::size_t chunk_cap =
-        std::max<std::size_t>(1, sh.state.cache().capacity_blocks());
-    for (std::size_t at = 0; at < to_claim.size(); at += chunk_cap) {
-      const std::size_t end = std::min(to_claim.size(), at + chunk_cap);
-      make_room_locked(lock, node,
-                       static_cast<std::uint32_t>(end - at));
-      // make_room may bounce the lock to ship a forward: re-check the store
-      // before claiming (another operation may have landed these blocks).
-      std::vector<std::size_t> want;
-      for (std::size_t j = at; j < end; ++j) {
-        Pending& p = pending[to_claim[j]];
-        const cache::BlockId block{file, p.index};
+    // Pass 1 — local hits: all resident blocks share ONE shard-lock
+    // acquisition.
+    std::vector<Pending> pending;
+    {
+      const std::uint64_t lw0 = obs::runtime_now_ns();
+      util::UniqueLock lock(sh.mu);
+      metrics_.record_lock_wait(obs::runtime_now_ns() - lw0);
+      bool any = false;
+      for (const std::uint32_t b : want) {
+        const cache::BlockId block{file, b};
         if (const auto it = sh.store.find(block); it != sh.store.end()) {
           sh.state.touch(block, tick());
           ++sh.state.stats().local_hits;
           metrics_.incr(obs::RtCounter::kLocalHit);
           sh.local_reads.fetch_add(1, std::memory_order_relaxed);
-          slot_of(p) = it->second;
+          slot_of(b) = it->second;
+          any = true;
         } else {
-          want.push_back(to_claim[j]);
+          Pending p;
+          p.index = b;
+          pending.push_back(p);
         }
       }
-      if (want.empty()) continue;
-      std::vector<proto::DirBatchItem> claims;
-      claims.reserve(want.size());
-      for (const std::size_t i : want) {
-        claims.push_back(
-            {proto::DirBatchOp::kTryClaim, {file, pending[i].index}});
-      }
-      const auto granted = dir_->batch(node, claims);
-      assert(granted.size() == claims.size());
-      for (std::size_t k = 0; k < want.size(); ++k) {
-        Pending& p = pending[want[k]];
-        if (!granted[k].has(proto::kFlagGranted)) {
-          fallback.push_back(want[k]);  // lost the race: retry as a fetch
-          continue;
-        }
-        const cache::BlockId block{file, p.index};
-        ++sh.state.stats().disk_reads;
-        metrics_.incr(obs::RtCounter::kMasterClaim);
-        metrics_.incr(obs::RtCounter::kDiskRead);
-        sh.state.insert_master(block, tick());
-        auto data = std::make_shared<BlockData>();
-        sh.store.emplace(block, data);
-        to_read.emplace_back(block, data);
-        slot_of(p) = data;
+      if (any) {
+        sh.state.publish();
+        CCM_AUDIT_HOOK(audit_shard_locked(sh, node, "local_hit"));
       }
     }
-    sh.state.publish();
-    CCM_AUDIT_HOOK(audit_shard_locked(sh, node, "disk_read"));
-  }
 
-  // Pass 4 — remote hits: per-block peer fetches (bulk payloads keep their
-  // own RPCs — that is the zero-copy path), then ONE batched validation
-  // under the shard lock decides which copies may be cached, the same
-  // lookup+read_cacheable predicate the unbatched path re-checks.
-  std::vector<std::size_t> fetched;
-  for (const std::size_t i : to_fetch) {
-    Pending& p = pending[i];
-    const cache::BlockId block{file, p.index};
-    Reply reply;
-    try {
-      reply = rpc(proto::Message::peer_fetch(node, p.master, block,
-                                             p.misdirected));
-    } catch (const net::TransportError&) {
-      if (p.from_hint) {
-        hint_stale_.fetch_add(1, std::memory_order_relaxed);
-        hint_clear(block);
-      }
-      fallback.push_back(i);  // re-read the directory (crash purge re-homes)
-      continue;
-    }
-    if (!reply.msg.has(proto::kFlagHit) || !reply.data) {
-      if (p.from_hint) {
-        hint_stale_.fetch_add(1, std::memory_order_relaxed);
-        hint_clear(block);
-      }
-      fallback.push_back(i);  // the master moved while the fetch flew
-      continue;
-    }
-    p.fetched = std::move(reply.data);
-    fetched.push_back(i);
-  }
-  if (!fetched.empty()) {
-    const std::uint64_t lw2 = obs::runtime_now_ns();
-    util::UniqueLock lock(sh.mu);
-    metrics_.record_lock_wait(obs::runtime_now_ns() - lw2);
-    const std::size_t chunk_cap =
-        std::max<std::size_t>(1, sh.state.cache().capacity_blocks());
-    for (std::size_t at = 0; at < fetched.size(); at += chunk_cap) {
-      const std::size_t end = std::min(fetched.size(), at + chunk_cap);
-      std::vector<std::size_t> insertable;
-      for (std::size_t j = at; j < end; ++j) {
-        Pending& p = pending[fetched[j]];
-        const cache::BlockId block{file, p.index};
-        if (const auto it = sh.store.find(block); it != sh.store.end()) {
-          // Another operation via this node cached it while we fetched.
-          sh.state.touch(block, tick());
-          ++sh.state.stats().remote_hits;
-          metrics_.incr(obs::RtCounter::kPeerHit);
-          slot_of(p) = it->second;
-        } else {
-          insertable.push_back(fetched[j]);
-        }
-      }
-      if (insertable.empty()) continue;
-      make_room_locked(lock, node,
-                       static_cast<std::uint32_t>(insertable.size()));
-      std::vector<proto::DirBatchItem> checks;
-      std::vector<std::size_t> checked;
-      for (const std::size_t i : insertable) {
-        Pending& p = pending[i];
-        const cache::BlockId block{file, p.index};
-        if (const auto it = sh.store.find(block); it != sh.store.end()) {
-          sh.state.touch(block, tick());
-          ++sh.state.stats().remote_hits;
-          metrics_.incr(obs::RtCounter::kPeerHit);
-          slot_of(p) = it->second;
+    // Pass 2 — resolve masters: hint slots answer for free (kPerfect mode,
+    // first attempt only: a straggler raced a transition, so retries ask
+    // the directory); ONE batched lookup covers the rest. First-attempt
+    // authoritative answers refresh the hint slots.
+    const bool use_hints =
+        attempt == 0 && config_.directory == cache::DirectoryMode::kPerfect;
+    std::vector<proto::DirBatchItem> lookups;
+    std::vector<std::size_t> lookup_owner;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      Pending& p = pending[i];
+      const cache::BlockId block{file, p.index};
+      if (use_hints) {
+        if (const auto h = hint_probe(block);
+            h && h->master != node && h->master < config_.nodes) {
+          p.master = h->master;
+          p.epoch = h->epoch;
+          p.from_hint = true;
+          hint_hits_.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
-        ++sh.state.stats().remote_hits;
-        metrics_.incr(obs::RtCounter::kPeerHit);
-        checks.push_back({proto::DirBatchOp::kValidate, block});
-        checked.push_back(i);
       }
-      if (checks.empty()) continue;
-      // Issued with the lock held, like the unbatched re-validation: the
-      // check and the insert must be atomic against an invalidation sweep,
-      // which needs this shard lock to visit us.
-      const auto verdicts = dir_->batch(node, checks);
-      assert(verdicts.size() == checks.size());
-      for (std::size_t k = 0; k < checked.size(); ++k) {
-        Pending& p = pending[checked[k]];
-        const cache::BlockId block{file, p.index};
-        const proto::DirBatchResult& v = verdicts[k];
-        // Cacheable iff the master is where we fetched from, the file epoch
-        // is unchanged, and no write is mid-span — the hint path compares
-        // its 48-bit stored epoch.
-        const bool epoch_ok =
-            p.from_hint ? ((v.epoch & kHintEpochMask) == p.epoch)
-                        : (v.epoch == p.epoch);
-        if (v.node == p.master && epoch_ok &&
-            v.has(proto::kFlagGranted)) {
-          sh.state.insert_copy(block, tick());
-          sh.store[block] = p.fetched;
-        } else if (p.from_hint) {
-          // Stale hint: the bytes are still valid to *serve* (a read racing
-          // a write may see superseded content), just not to cache.
-          hint_stale_.fetch_add(1, std::memory_order_relaxed);
-          if (use_hints && v.node != cache::kInvalidNode && v.node != node) {
-            hint_publish(block, v.node, v.epoch);  // refresh from authority
+      lookups.push_back({proto::DirBatchOp::kLookupRead, block});
+      lookup_owner.push_back(i);
+    }
+    if (!lookups.empty()) {
+      const auto results = dir_->batch(node, lookups);
+      assert(results.size() == lookups.size());
+      for (std::size_t k = 0; k < results.size(); ++k) {
+        Pending& p = pending[lookup_owner[k]];
+        p.master = results[k].node;
+        p.epoch = results[k].epoch;
+        p.misdirected = results[k].has(proto::kFlagMisdirected);
+        if (use_hints && p.master != cache::kInvalidNode && p.master != node) {
+          hint_publish(cache::BlockId{file, p.index}, p.master, p.epoch);
+        }
+      }
+    }
+
+    std::vector<std::size_t> to_claim, to_fetch;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (pending[i].master == cache::kInvalidNode) {
+        to_claim.push_back(i);
+      } else if (pending[i].master == node) {
+        // Directory names us but pass 1 missed: an in-flight transition
+        // (our own forward landing back, a write migration) — let the next
+        // attempt settle it.
+        retry.push_back(pending[i].index);
+      } else {
+        to_fetch.push_back(i);
+      }
+    }
+
+    // Pass 3 — misses: ONE batched try_claim masters the uncached blocks.
+    // The claim is issued *under the shard lock* with the inserts following
+    // in the same hold: a rival writer's ownership migration
+    // (kWriteOwnership needs this lock) cannot interleave between a granted
+    // claim and its insert. Chunked to the cache's capacity so make_room can
+    // always clear space for a chunk before its inserts.
+    if (!to_claim.empty()) {
+      const std::uint64_t lw1 = obs::runtime_now_ns();
+      util::UniqueLock lock(sh.mu);
+      metrics_.record_lock_wait(obs::runtime_now_ns() - lw1);
+      const std::size_t chunk_cap =
+          std::max<std::size_t>(1, sh.state.cache().capacity_blocks());
+      for (std::size_t at = 0; at < to_claim.size(); at += chunk_cap) {
+        const std::size_t end = std::min(to_claim.size(), at + chunk_cap);
+        make_room_locked(lock, node, static_cast<std::uint32_t>(end - at));
+        // make_room may bounce the lock to ship a forward: re-check the
+        // store before claiming (another operation may have landed these
+        // blocks).
+        std::vector<std::uint32_t> claimed;
+        std::vector<proto::DirBatchItem> claims;
+        for (std::size_t j = at; j < end; ++j) {
+          const std::uint32_t b = pending[to_claim[j]].index;
+          const cache::BlockId block{file, b};
+          if (const auto it = sh.store.find(block); it != sh.store.end()) {
+            sh.state.touch(block, tick());
+            ++sh.state.stats().local_hits;
+            metrics_.incr(obs::RtCounter::kLocalHit);
+            sh.local_reads.fetch_add(1, std::memory_order_relaxed);
+            slot_of(b) = it->second;
           } else {
-            hint_clear(block);
+            claimed.push_back(b);
+            claims.push_back({proto::DirBatchOp::kTryClaim, block});
           }
         }
-        slot_of(p) = p.fetched;
+        if (claims.empty()) continue;
+        const auto granted = dir_->batch(node, claims);
+        assert(granted.size() == claims.size());
+        for (std::size_t k = 0; k < claimed.size(); ++k) {
+          const std::uint32_t b = claimed[k];
+          if (!granted[k].has(proto::kFlagGranted)) {
+            retry.push_back(b);  // lost the race: retry as a fetch
+            continue;
+          }
+          const cache::BlockId block{file, b};
+          ++sh.state.stats().disk_reads;
+          metrics_.incr(obs::RtCounter::kMasterClaim);
+          metrics_.incr(obs::RtCounter::kDiskRead);
+          sh.state.insert_master(block, tick());
+          auto data = std::make_shared<BlockData>();
+          sh.store.emplace(block, data);
+          to_read.emplace_back(block, data);
+          slot_of(b) = data;
+        }
       }
+      sh.state.publish();
+      CCM_AUDIT_HOOK(audit_shard_locked(sh, node, "disk_read"));
     }
-    sh.state.publish();
-    CCM_AUDIT_HOOK(audit_shard_locked(sh, node, "remote_hit"));
+
+    // Pass 4 — remote hits: per-block peer fetches (bulk payloads keep their
+    // own RPCs — that is the zero-copy path), then ONE batched validation
+    // under the shard lock decides which copies may be cached.
+    std::vector<std::size_t> fetched;
+    for (const std::size_t i : to_fetch) {
+      Pending& p = pending[i];
+      const cache::BlockId block{file, p.index};
+      Reply reply;
+      bool hit = false;
+      try {
+        reply = rpc(proto::Message::peer_fetch(node, p.master, block,
+                                               p.misdirected));
+        hit = reply.msg.has(proto::kFlagHit) && reply.data;
+      } catch (const net::TransportError&) {
+        // Master unreachable (crashed, or the link ate every retry): re-read
+        // the directory — a crash purge re-homes the block.
+      }
+      if (!hit) {
+        // The master moved while the fetch flew, or is unreachable.
+        if (p.from_hint) {
+          hint_stale_.fetch_add(1, std::memory_order_relaxed);
+          hint_clear(block);
+        }
+        retry.push_back(p.index);
+        continue;
+      }
+      p.fetched = std::move(reply.data);
+      fetched.push_back(i);
+    }
+    if (!fetched.empty()) {
+      const std::uint64_t lw2 = obs::runtime_now_ns();
+      util::UniqueLock lock(sh.mu);
+      metrics_.record_lock_wait(obs::runtime_now_ns() - lw2);
+      const std::size_t chunk_cap =
+          std::max<std::size_t>(1, sh.state.cache().capacity_blocks());
+      for (std::size_t at = 0; at < fetched.size(); at += chunk_cap) {
+        const std::size_t end = std::min(fetched.size(), at + chunk_cap);
+        std::vector<std::size_t> insertable;
+        for (std::size_t j = at; j < end; ++j) {
+          Pending& p = pending[fetched[j]];
+          const cache::BlockId block{file, p.index};
+          if (const auto it = sh.store.find(block); it != sh.store.end()) {
+            // Another operation via this node cached it while we fetched.
+            sh.state.touch(block, tick());
+            ++sh.state.stats().remote_hits;
+            metrics_.incr(obs::RtCounter::kPeerHit);
+            slot_of(p.index) = it->second;
+          } else {
+            insertable.push_back(fetched[j]);
+          }
+        }
+        if (insertable.empty()) continue;
+        make_room_locked(lock, node,
+                         static_cast<std::uint32_t>(insertable.size()));
+        std::vector<proto::DirBatchItem> checks;
+        std::vector<std::size_t> checked;
+        for (const std::size_t i : insertable) {
+          Pending& p = pending[i];
+          const cache::BlockId block{file, p.index};
+          if (const auto it = sh.store.find(block); it != sh.store.end()) {
+            sh.state.touch(block, tick());
+            ++sh.state.stats().remote_hits;
+            metrics_.incr(obs::RtCounter::kPeerHit);
+            slot_of(p.index) = it->second;
+            continue;
+          }
+          ++sh.state.stats().remote_hits;
+          metrics_.incr(obs::RtCounter::kPeerHit);
+          checks.push_back({proto::DirBatchOp::kValidate, block});
+          checked.push_back(i);
+        }
+        if (checks.empty()) continue;
+        // Issued with the lock held: the check and the insert must be atomic
+        // against an invalidation sweep, which needs this shard lock to
+        // visit us. Don't cache a copy whose master moved — or whose file
+        // has a write in flight or a bumped epoch — while the fetch was in
+        // flight: the writer's sweep may already have passed this node and
+        // would never drop a copy planted after it.
+        const auto verdicts = dir_->batch(node, checks);
+        assert(verdicts.size() == checks.size());
+        for (std::size_t k = 0; k < checked.size(); ++k) {
+          Pending& p = pending[checked[k]];
+          const cache::BlockId block{file, p.index};
+          const proto::DirBatchResult& v = verdicts[k];
+          // Cacheable iff the master is where we fetched from, the file
+          // epoch is unchanged, and no write is mid-span — the hint path
+          // compares its 48-bit stored epoch.
+          const bool epoch_ok =
+              p.from_hint ? ((v.epoch & kHintEpochMask) == p.epoch)
+                          : (v.epoch == p.epoch);
+          if (v.node == p.master && epoch_ok &&
+              v.has(proto::kFlagGranted)) {
+            sh.state.insert_copy(block, tick());
+            sh.store[block] = p.fetched;
+          } else if (p.from_hint) {
+            // Stale hint: the bytes are still valid to *serve* (a read
+            // racing a write may see superseded content), just not to cache.
+            hint_stale_.fetch_add(1, std::memory_order_relaxed);
+            if (v.node != cache::kInvalidNode && v.node != node) {
+              hint_publish(block, v.node, v.epoch);  // refresh from authority
+            } else {
+              hint_clear(block);
+            }
+          }
+          slot_of(p.index) = p.fetched;
+        }
+      }
+      sh.state.publish();
+      CCM_AUDIT_HOOK(audit_shard_locked(sh, node, "remote_hit"));
+    }
+
+    want = std::move(retry);
   }
 
-  // Pass 5 — stragglers: whatever raced a transition goes through the
-  // per-block protocol, retries, liveness fallback and all.
-  for (const std::size_t i : fallback) {
-    Pending& p = pending[i];
-    slot_of(p) = acquire_block(node, {file, p.index}, to_read);
+  // Liveness fallback after pathological churn: serve the rest uncached.
+  if (want.empty()) return;
+  metrics_.incr(obs::RtCounter::kUncachedFallback, want.size());
+  metrics_.incr(obs::RtCounter::kDiskRead, want.size());
+  {
+    util::ScopedLock lock(sh.mu);
+    sh.state.stats().disk_reads += want.size();
+  }
+  for (const std::uint32_t b : want) {
+    auto data = std::make_shared<BlockData>();
+    to_read.emplace_back(cache::BlockId{file, b}, data);
+    slot_of(b) = data;
   }
 }
 
@@ -1222,13 +1071,7 @@ std::vector<std::byte> CcmCluster::execute_read(cache::NodeId node,
   std::vector<BlockPtr> parts;
   parts.reserve(last_block - first_block + 1);
   std::vector<std::pair<cache::BlockId, BlockPtr>> to_read;
-  if (config_.batch_directory) {
-    acquire_run(node, file, first_block, last_block, parts, to_read);
-  } else {
-    for (std::uint32_t b = first_block; b <= last_block; ++b) {
-      parts.push_back(acquire_block(node, cache::BlockId{file, b}, to_read));
-    }
-  }
+  acquire_run(node, file, first_block, last_block, parts, to_read);
 
   // Fault in missing blocks from Storage on this thread, outside all
   // locks. Concurrent readers of the same block wait on its ready cv.

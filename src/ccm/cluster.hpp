@@ -83,12 +83,6 @@ struct CcmConfig {
   /// at once; later callers wait for a slot. Handlers, invalidate() and
   /// barrier() take none.
   std::size_t workers_per_node = 2;
-  /// Batch directory traffic: multi-block reads collect their lookups,
-  /// claims, and cache-validations into kDirBatch round trips (one shard-lock
-  /// acquisition at the service per batch), and eviction sweeps batch their
-  /// master drops. Off restores the one-RPC-per-op protocol — bit-identical
-  /// directory state either way (see docs/MIDDLEWARE.md).
-  bool batch_directory = true;
 };
 
 /// How this process participates in the cluster. Default-constructed: every
@@ -379,23 +373,18 @@ class CcmCluster {
   void execute_write(cache::NodeId node, cache::FileId file,
                      std::uint64_t offset, std::span<const std::byte> data);
 
-  /// Materializes one block at `node` per the cooperative caching protocol:
-  /// local hit, peer fetch (RPC to the master holder), or a disk-read claim
-  /// (appended to `to_read` for the caller to fault in). Retries around
-  /// directory races; falls back to an uncached read for liveness.
-  BlockPtr acquire_block(cache::NodeId node, const cache::BlockId& block,
-                         std::vector<std::pair<cache::BlockId, BlockPtr>>&
-                             to_read);
-
-  /// Batched form of acquire_block for the contiguous run [first, last] of
-  /// `file`'s blocks (config_.batch_directory): one shard-lock pass drains
-  /// the local hits, one kDirBatch lookup resolves the misses (hint slots
-  /// short-circuit it per block), one batch claim (issued under the shard
-  /// lock, like the single path's try_claim) masters the uncached ones, and
-  /// fetched copies are validated by one batched kValidate under the shard
-  /// lock before insertion. Any block that races a transition falls back to
-  /// acquire_block — same retries, same uncached-liveness floor. Appends one
-  /// BlockPtr per block to `parts`, in block order.
+  /// Materializes blocks [first, last] of `file` at `node` per the
+  /// cooperative caching protocol — local hit, peer fetch (RPC to the master
+  /// holder), or a disk-read claim (appended to `to_read` for the caller to
+  /// fault in) — and appends one BlockPtr per block to `parts`, in block
+  /// order. Each attempt runs over the blocks still unresolved: one
+  /// shard-lock pass drains the local hits, one kDirBatch lookup resolves
+  /// the misses (hint slots short-circuit it per block), one batch claim
+  /// under the shard lock masters the uncached ones, and fetched copies are
+  /// validated by one batched kValidate under the shard lock before
+  /// insertion. Blocks that race a transition are retried, up to
+  /// kAcquireAttempts passes in all; whatever is left after that is served
+  /// by an uncached storage read for liveness.
   void acquire_run(cache::NodeId node, cache::FileId file, std::uint32_t first,
                    std::uint32_t last, std::vector<BlockPtr>& parts,
                    std::vector<std::pair<cache::BlockId, BlockPtr>>& to_read);
@@ -406,8 +395,8 @@ class CcmCluster {
   // block to its last authoritatively observed (master, epoch). A probe hit
   // skips the directory lookup entirely — no lock, no RPC; the later batched
   // kValidate (under the inserting shard's lock) is what keeps a stale hint
-  // from planting an uncacheable copy, exactly the check the unbatched path
-  // makes against its authoritative lookup. key and val are independent
+  // from planting an uncacheable copy, the same check a copy fetched on an
+  // authoritative lookup must pass. key and val are independent
   // atomics, so a reader racing a publisher can see a torn pair; the worst
   // outcome is a wrong candidate master — a peer-fetch miss or a failed
   // validation, both of which re-chain through the authoritative protocol.
@@ -438,10 +427,9 @@ class CcmCluster {
   void hint_clear_file(cache::FileId file);
 
   /// Unregisters a sweep's worth of dropped masters: one kDirBatch round
-  /// trip when batching is on and the sweep dropped more than one, the
-  /// single-op protocol otherwise. Call sites hold the shard lock, exactly
-  /// as they did around the per-drop master_dropped calls this replaces
-  /// (the directory stays the leaf either way).
+  /// trip when the sweep dropped more than one, a single master_dropped
+  /// otherwise. Call sites hold the shard lock (the directory is the lock
+  /// order's leaf).
   void drop_masters(cache::NodeId node,
                     const std::vector<cache::BlockId>& dropped);
 

@@ -16,14 +16,21 @@ proto::Message RemoteDirectory::ask(const proto::Message& request) {
       .msg;
 }
 
+proto::DirBatchResult RemoteDirectory::ask_one(cache::NodeId node,
+                                               proto::DirBatchOp op,
+                                               const cache::BlockId& b) {
+  const proto::DirBatchItem item{op, b};
+  return batch_impl(node, std::span(&item, 1)).front();
+}
+
 proto::DirectoryService::ReadLookup RemoteDirectory::lookup_for_read_impl(
     cache::NodeId node, const cache::BlockId& b) {
-  const proto::Message reply = ask(
-      proto::Message::dir_request(proto::MsgKind::kDirLookupRead, node, home_, b));
+  const proto::DirBatchResult r =
+      ask_one(node, proto::DirBatchOp::kLookupRead, b);
   proto::DirectoryService::ReadLookup lk;
-  lk.master = reply.dir_result();
-  lk.misdirected = reply.has(proto::kFlagMisdirected);
-  lk.epoch = reply.age;
+  lk.master = r.node;
+  lk.misdirected = r.has(proto::kFlagMisdirected);
+  lk.epoch = r.epoch;
   return lk;
 }
 
@@ -35,8 +42,7 @@ cache::NodeId RemoteDirectory::lookup_impl(const cache::BlockId& b) {
 
 bool RemoteDirectory::try_claim_impl(const cache::BlockId& b,
                                      cache::NodeId node) {
-  return ask(proto::Message::dir_request(proto::MsgKind::kDirTryClaim, node,
-                                         home_, b))
+  return ask_one(node, proto::DirBatchOp::kTryClaim, b)
       .has(proto::kFlagGranted);
 }
 
@@ -63,8 +69,7 @@ void RemoteDirectory::forward_rejected_impl(const cache::BlockId& b,
 
 void RemoteDirectory::master_dropped_impl(const cache::BlockId& b,
                                           cache::NodeId node) {
-  ask(proto::Message::dir_request(proto::MsgKind::kDirMasterDropped, node,
-                                  home_, b));
+  ask_one(node, proto::DirBatchOp::kMasterDropped, b);
 }
 
 cache::NodeId RemoteDirectory::write_claim_impl(const cache::BlockId& b,
@@ -76,24 +81,26 @@ cache::NodeId RemoteDirectory::write_claim_impl(const cache::BlockId& b,
 
 void RemoteDirectory::invalidate_file_impl(cache::FileId file) {
   ask(proto::Message::dir_file_request(proto::MsgKind::kDirInvalidateFile,
-                                       local_, home_, file, 0));
+                                       local_, home_, file));
 }
 
 void RemoteDirectory::write_begin_impl(cache::FileId file) {
   ask(proto::Message::dir_file_request(proto::MsgKind::kDirWriteBegin, local_,
-                                       home_, file, 0));
+                                       home_, file));
 }
 
 void RemoteDirectory::write_end_impl(cache::FileId file) {
   ask(proto::Message::dir_file_request(proto::MsgKind::kDirWriteEnd, local_,
-                                       home_, file, 0));
+                                       home_, file));
 }
 
 bool RemoteDirectory::read_cacheable_impl(cache::FileId file,
                                           std::uint64_t epoch) {
-  return ask(proto::Message::dir_file_request(proto::MsgKind::kDirReadCacheable,
-                                              local_, home_, file, epoch))
-      .has(proto::kFlagGranted);
+  // kValidate answers for the file through any of its blocks: granted when
+  // no write is in flight, plus the current epoch to compare.
+  const proto::DirBatchResult r =
+      ask_one(local_, proto::DirBatchOp::kValidate, {file, 0});
+  return r.has(proto::kFlagGranted) && r.epoch == epoch;
 }
 
 std::size_t RemoteDirectory::purge_node_impl(cache::NodeId node) {
@@ -121,38 +128,10 @@ std::vector<proto::DirBatchResult> RemoteDirectory::batch_impl(
       return std::move(*results);
     }
   }
-  // Corrupt or truncated reply (should never happen with a well-formed
-  // home): fall back to the singles protocol. Re-issuing after a
-  // possibly-applied batch is no different from an RPC retry.
-  std::vector<proto::DirBatchResult> out;
-  out.reserve(items.size());
-  for (const proto::DirBatchItem& it : items) {
-    proto::DirBatchResult r;
-    switch (it.op) {
-      case proto::DirBatchOp::kLookupRead: {
-        const auto lk = lookup_for_read_impl(node, it.block);
-        r.node = lk.master;
-        r.epoch = lk.epoch;
-        if (lk.misdirected) r.flags |= proto::kFlagMisdirected;
-        break;
-      }
-      case proto::DirBatchOp::kTryClaim:
-        if (try_claim_impl(it.block, node)) r.flags |= proto::kFlagGranted;
-        break;
-      case proto::DirBatchOp::kMasterDropped:
-        master_dropped_impl(it.block, node);
-        break;
-      case proto::DirBatchOp::kValidate:
-        // No single RPC exposes the raw file epoch; answer conservatively so
-        // the caller's validation fails closed (serves uncached, refreshes
-        // its hint from the next authoritative lookup).
-        r.node = lookup_impl(it.block);
-        r.epoch = ~std::uint64_t{0};
-        break;
-    }
-    out.push_back(r);
-  }
-  return out;
+  // Corrupt or truncated reply (never sent by a well-formed home): whether
+  // the ops were applied is unknown, so the call fails like a lost peer.
+  throw net::TransportError(net::TransportError::Kind::kPeerDown,
+                            "RemoteDirectory: malformed dir-batch reply");
 }
 
 }  // namespace coop::ccm

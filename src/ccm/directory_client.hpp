@@ -43,8 +43,9 @@ class DirectoryClient {
     std::uint64_t singles = 0;      // single-op protocol calls issued
     std::uint64_t batches = 0;      // kDirBatch round trips issued
     std::uint64_t batched_ops = 0;  // ops carried inside those batches
-    /// Directory round trips — the number the ≥4× batching win is
-    /// measured on (each batch is one trip no matter how many ops ride it).
+    /// Directory round trips — the number perf-smoke's trips-per-op
+    /// ceiling holds (each batch is one trip no matter how many ops ride
+    /// it).
     [[nodiscard]] std::uint64_t trips() const { return singles + batches; }
   };
 
@@ -261,8 +262,11 @@ class LocalDirectory final : public DirectoryClient {
 };
 
 /// The directory lives at `home` in another process; every operation is one
-/// kDir* RPC over the transport, answered with a generic kDirReply (or a
-/// kDirBatchReply whose payload carries the per-item results).
+/// RPC over the transport. The ops a DirBatchOp carries (lookup_for_read,
+/// try_claim, master_dropped, and read_cacheable as kValidate) travel as a
+/// kDirBatchRequest of one item, answered by a kDirBatchReply whose payload
+/// carries the result; the rest are single kDir* requests answered with a
+/// generic kDirReply.
 class RemoteDirectory final : public DirectoryClient {
  public:
   /// `retry_stats` (optional, must outlive the client) accumulates the
@@ -310,6 +314,9 @@ class RemoteDirectory final : public DirectoryClient {
  private:
   /// Round-trips one request and returns the kDirReply message.
   proto::Message ask(const proto::Message& request);
+  /// batch_impl() for a single op.
+  proto::DirBatchResult ask_one(cache::NodeId node, proto::DirBatchOp op,
+                                const cache::BlockId& b);
 
   std::shared_ptr<net::Transport> transport_;
   cache::NodeId local_;

@@ -52,38 +52,36 @@ const char* action_name(FaultAction action) {
 // processed, so the kind must additionally be idempotent at the receiver.
 // Kinds that are neither (dir-write-claim, dir-write-begin/end) are never
 // generated — hand-written schedules may still target them to study the
-// failure, but no invariant guarantee attaches.
+// failure, but no invariant guarantee attaches. dir-batch-request is only a
+// request-drop target: a dropped request was never applied, so its retry is
+// the first delivery whatever ops the batch carries.
 
 constexpr proto::MsgKind kDroppableRequests[] = {
     proto::MsgKind::kPeerFetch,       proto::MsgKind::kInvalidateBlock,
     proto::MsgKind::kInvalidateFile,  proto::MsgKind::kMasterForward,
-    proto::MsgKind::kDirLookup,       proto::MsgKind::kDirLookupRead,
-    proto::MsgKind::kDirReadCacheable, proto::MsgKind::kStorageRead,
-    proto::MsgKind::kStorageWrite,
+    proto::MsgKind::kDirLookup,       proto::MsgKind::kStorageRead,
+    proto::MsgKind::kStorageWrite,    proto::MsgKind::kDirBatchRequest,
 };
 
 constexpr proto::MsgKind kDuplicableRequests[] = {
     proto::MsgKind::kPeerFetch,       proto::MsgKind::kInvalidateBlock,
     proto::MsgKind::kInvalidateFile,  proto::MsgKind::kMasterForward,
-    proto::MsgKind::kDirLookup,       proto::MsgKind::kDirLookupRead,
-    proto::MsgKind::kDirReadCacheable, proto::MsgKind::kStorageRead,
+    proto::MsgKind::kDirLookup,       proto::MsgKind::kStorageRead,
     proto::MsgKind::kStorageWrite,
 };
 
 constexpr proto::MsgKind kReplyDroppable[] = {
-    proto::MsgKind::kPeerFetch,        proto::MsgKind::kDirLookup,
-    proto::MsgKind::kDirLookupRead,    proto::MsgKind::kDirReadCacheable,
-    proto::MsgKind::kStorageRead,      proto::MsgKind::kDirTryClaim,
-    proto::MsgKind::kDirClaimForwarded,
+    proto::MsgKind::kPeerFetch,       proto::MsgKind::kDirLookup,
+    proto::MsgKind::kStorageRead,     proto::MsgKind::kDirClaimForwarded,
 };
 
 constexpr proto::MsgKind kDelayable[] = {
     proto::MsgKind::kPeerFetch,       proto::MsgKind::kPeerFetchReply,
     proto::MsgKind::kInvalidateBlock, proto::MsgKind::kInvalidateFile,
     proto::MsgKind::kMasterForward,   proto::MsgKind::kMasterForwardAck,
-    proto::MsgKind::kDirLookup,       proto::MsgKind::kDirLookupRead,
-    proto::MsgKind::kDirReply,        proto::MsgKind::kStorageRead,
-    proto::MsgKind::kStorageData,     proto::MsgKind::kWriteOwnership,
+    proto::MsgKind::kDirLookup,       proto::MsgKind::kDirReply,
+    proto::MsgKind::kStorageRead,     proto::MsgKind::kStorageData,
+    proto::MsgKind::kWriteOwnership,
 };
 
 template <std::size_t N>

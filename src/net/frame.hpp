@@ -45,7 +45,9 @@ inline constexpr std::uint32_t kHandshakeMagic = 0x314D4343;  // "CCM1"
 // payload vocabulary in proto/dir_batch.hpp) extended the kind space.
 // v4: the unused directory kinds (block-lookup, master-claim, their replies
 // and eviction-notice) were removed, renumbering every later kind.
-inline constexpr std::uint16_t kProtocolVersion = 4;
+// v5: the single kinds for the ops kDirBatchRequest carries (lookup-read,
+// try-claim, master-dropped, read-cacheable) were removed, renumbering again.
+inline constexpr std::uint16_t kProtocolVersion = 5;
 inline constexpr std::size_t kHandshakeSize = 4 + 2 + 2;
 
 /// Fixed frame bytes after the length prefix, before the payload.

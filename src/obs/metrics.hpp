@@ -105,8 +105,9 @@ struct RpcKindSnapshot {
 /// Snapshot format version carried on the wire (kStatsPull payloads and
 /// `--metrics-out` dumps); bump when the layout changes. RPC rows are indexed
 /// by message-kind value, so a renumbering of proto::MsgKind is a layout
-/// change (v2: five unused directory kinds removed).
-inline constexpr std::uint32_t kMetricsVersion = 2;
+/// change (v2: five unused directory kinds removed; v3: the four single
+/// directory kinds a kDirBatchRequest carries removed).
+inline constexpr std::uint32_t kMetricsVersion = 3;
 
 /// One process's (or, after merging, one cluster's) runtime metrics.
 struct MetricsSnapshot {

@@ -3,11 +3,12 @@
 //
 // One envelope carries a length-prefixed vector of per-block directory ops,
 // so a read path touching N blocks of a file costs one RPC and one
-// directory-lock acquisition instead of N of each. The batch is *not* a
-// transaction: each item applies exactly the same conditional/idempotent
-// operation the singles protocol applies (see DirectoryService), so an
-// at-least-once replay of the whole batch is as safe as replaying each
-// single — the net/call_with_retry contract is unchanged.
+// directory-lock acquisition instead of N of each. These ops have no single
+// wire kind: a lone op is a batch of one. The batch is *not* a transaction:
+// each item applies exactly the same conditional/idempotent operation as the
+// matching DirectoryService method, so an at-least-once replay of the whole
+// batch is as safe as replaying each op alone — the net/call_with_retry
+// contract is unchanged.
 //
 // Payload layout (little-endian; independent of the fixed Message wire):
 //
@@ -47,7 +48,7 @@ enum class DirBatchOp : std::uint8_t {
   /// master, the current file epoch, and kFlagGranted iff no write to the
   /// file is in flight. The *caller* compares these against the hint it
   /// fetched under (master unchanged, epoch unchanged, write-free) — the
-  /// same predicate as lookup() + read_cacheable() in the singles protocol —
+  /// same predicate as DirectoryService::lookup() + read_cacheable() —
   /// and refreshes its hint slot from the authoritative answer either way.
   kValidate,
 };

@@ -201,13 +201,12 @@ Message Message::dir_claim_forwarded(NodeId from, NodeId home,
 }
 
 Message Message::dir_file_request(MsgKind kind, NodeId from, NodeId home,
-                                  FileId file, std::uint64_t epoch) {
+                                  FileId file) {
   Message m;
   m.kind = kind;
   m.from = from;
   m.to = home;
   m.block = BlockId{file, 0};
-  m.age = epoch;
   return m;
 }
 
@@ -381,17 +380,13 @@ const char* kind_name(MsgKind kind) {
     case MsgKind::kInvalidateAck: return "invalidate-ack";
     case MsgKind::kWriteOwnership: return "write-ownership";
     case MsgKind::kWriteOwnershipReply: return "write-ownership-reply";
-    case MsgKind::kDirLookupRead: return "dir-lookup-read";
     case MsgKind::kDirLookup: return "dir-lookup";
-    case MsgKind::kDirTryClaim: return "dir-try-claim";
     case MsgKind::kDirBeginForward: return "dir-begin-forward";
     case MsgKind::kDirClaimForwarded: return "dir-claim-forwarded";
     case MsgKind::kDirForwardRejected: return "dir-forward-rejected";
-    case MsgKind::kDirMasterDropped: return "dir-master-dropped";
     case MsgKind::kDirWriteClaim: return "dir-write-claim";
     case MsgKind::kDirWriteBegin: return "dir-write-begin";
     case MsgKind::kDirWriteEnd: return "dir-write-end";
-    case MsgKind::kDirReadCacheable: return "dir-read-cacheable";
     case MsgKind::kDirInvalidateFile: return "dir-invalidate-file";
     case MsgKind::kDirReply: return "dir-reply";
     case MsgKind::kStorageRead: return "storage-read";

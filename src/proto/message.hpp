@@ -47,18 +47,16 @@ enum class MsgKind : std::uint8_t {
   // Remote-directory RPCs (multi-process clusters only). The DirectoryService
   // lives in the process hosting node 0; every other process reaches it with
   // these requests, all answered by a single generic kDirReply correlated by
-  // the transport's sequence number.
-  kDirLookupRead,         // node -> home: lookup_for_read(from, block)
+  // the transport's sequence number. The ops a DirBatchOp carries
+  // (lookup_for_read, try_claim, master_dropped, and read_cacheable as
+  // kValidate) have no single kind: they travel as kDirBatchRequest.
   kDirLookup,             // node -> home: authoritative master of block
-  kDirTryClaim,           // node -> home: try_claim(block, from)
   kDirBeginForward,       // node -> home: begin_forward(block, from)
   kDirClaimForwarded,     // node -> home: claim_forwarded(block, from, ...)
   kDirForwardRejected,    // node -> home: forward_rejected(block, from)
-  kDirMasterDropped,      // node -> home: master_dropped(block, from)
   kDirWriteClaim,         // node -> home: write_claim(block, from)
   kDirWriteBegin,         // node -> home: write_begin(file)
   kDirWriteEnd,           // node -> home: write_end(file)
-  kDirReadCacheable,      // node -> home: read_cacheable(file, epoch)
   kDirInvalidateFile,     // node -> home: invalidate_file(file) epoch fence
   kDirReply,              // home -> node: generic directory answer
 
@@ -169,7 +167,7 @@ struct Message {
                                      const BlockId& b, NodeId forwarder,
                                      std::uint64_t epoch);
   static Message dir_file_request(MsgKind kind, NodeId from, NodeId home,
-                                  FileId file, std::uint64_t epoch);
+                                  FileId file);
   static Message dir_reply(NodeId home, NodeId to, const BlockId& b,
                            NodeId result, std::uint64_t epoch, bool granted,
                            bool misdirected);

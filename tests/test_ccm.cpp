@@ -317,7 +317,10 @@ TEST(CcmCluster, PolicyParityWithBareClusterCache) {
   // Cross-layer validation: a sequential workload must drive the middleware
   // through exactly the policy transitions the simulator's serial driver
   // performs, in every directory mode and policy — the simulator-validated
-  // behaviors carry over to the runtime verbatim.
+  // behaviors carry over to the runtime verbatim. The serial driver walks a
+  // file block by block, so the runtime reads each file with one read_range
+  // per block: the one read path (acquire_run) then runs over one-block
+  // runs, which keeps its LRU trace step-identical to the simulator's.
   const auto sizes = make_sizes(40, /*seed=*/21);
   for (const auto dir :
        {cache::DirectoryMode::kPerfect, cache::DirectoryMode::kHinted}) {
@@ -330,11 +333,6 @@ TEST(CcmCluster, PolicyParityWithBareClusterCache) {
       mc.policy = policy;
       mc.directory = dir;
       mc.workers_per_node = 1;
-      // Parity is against the serial driver's strictly per-block
-      // transitions; the batched read path amortizes them (one local-hit
-      // pass, grouped claims), which is equivalent in content but not in LRU
-      // trace. The singles protocol is the one that must stay step-identical.
-      mc.batch_directory = false;
       CcmCluster cluster(mc, std::make_shared<MemStorage>(sizes));
 
       cache::CoopCacheConfig cc;
@@ -350,7 +348,10 @@ TEST(CcmCluster, PolicyParityWithBareClusterCache) {
       for (int i = 0; i < 1500; ++i) {
         const auto f = static_cast<cache::FileId>(zipf.sample(rng));
         const auto via = static_cast<cache::NodeId>(rng.uniform_int(3));
-        cluster.read(via, f);
+        for (std::uint64_t at = 0; at < sizes[f]; at += kBlock) {
+          cluster.read_range(via, f, at,
+                             std::min<std::uint64_t>(kBlock, sizes[f] - at));
+        }
         bare.access(via, f, sizes[f]);
       }
       const auto a = cluster.stats();
@@ -371,6 +372,217 @@ TEST(CcmCluster, PolicyParityWithBareClusterCache) {
       }
     }
   }
+}
+
+// ------------------------------------------------------ liveness floor ---
+
+/// A directory no read can settle against: every lookup answers "no master"
+/// and every claim is denied, so each block spends the whole attempt budget
+/// and is served by the uncached read. Everything else reaches a real
+/// LocalDirectory.
+class RefusingDirectory final : public DirectoryClient {
+ public:
+  explicit RefusingDirectory(std::size_t nodes)
+      : inner_(nodes, cache::DirectoryMode::kPerfect,
+               cache::CoopCacheConfig{}.hint_staleness) {}
+
+  proto::DirectoryService::Ops ops() override { return inner_.ops(); }
+  void reset_ops() override { inner_.reset_ops(); }
+  double hint_accuracy() override { return inner_.hint_accuracy(); }
+  cache::NodeId hint_truth(const cache::BlockId& b) override {
+    return inner_.hint_truth(b);
+  }
+  std::size_t master_count() override { return inner_.master_count(); }
+  std::size_t audit(const char* context) override {
+    return inner_.audit(context);
+  }
+  proto::DirectoryService* service() override { return inner_.service(); }
+
+ protected:
+  proto::DirectoryService::ReadLookup lookup_for_read_impl(
+      cache::NodeId, const cache::BlockId&) override {
+    return {};
+  }
+  cache::NodeId lookup_impl(const cache::BlockId& b) override {
+    return inner_.lookup(b);
+  }
+  bool try_claim_impl(const cache::BlockId&, cache::NodeId) override {
+    return false;
+  }
+  std::optional<std::uint64_t> begin_forward_impl(const cache::BlockId& b,
+                                                  cache::NodeId from) override {
+    return inner_.begin_forward(b, from);
+  }
+  bool claim_forwarded_impl(const cache::BlockId& b, cache::NodeId to,
+                            cache::NodeId from, std::uint64_t epoch) override {
+    return inner_.claim_forwarded(b, to, from, epoch);
+  }
+  void forward_rejected_impl(const cache::BlockId& b,
+                             cache::NodeId from) override {
+    inner_.forward_rejected(b, from);
+  }
+  void master_dropped_impl(const cache::BlockId& b,
+                           cache::NodeId node) override {
+    inner_.master_dropped(b, node);
+  }
+  cache::NodeId write_claim_impl(const cache::BlockId& b,
+                                 cache::NodeId writer) override {
+    return inner_.write_claim(b, writer);
+  }
+  void invalidate_file_impl(cache::FileId file) override {
+    inner_.invalidate_file(file);
+  }
+  void write_begin_impl(cache::FileId file) override {
+    inner_.write_begin(file);
+  }
+  void write_end_impl(cache::FileId file) override { inner_.write_end(file); }
+  bool read_cacheable_impl(cache::FileId file, std::uint64_t epoch) override {
+    return inner_.read_cacheable(file, epoch);
+  }
+  std::size_t purge_node_impl(cache::NodeId node) override {
+    return inner_.purge_node(node);
+  }
+  std::vector<proto::DirBatchResult> batch_impl(
+      cache::NodeId node,
+      std::span<const proto::DirBatchItem> items) override {
+    std::vector<proto::DirBatchResult> out;
+    for (const proto::DirBatchItem& it : items) {
+      if (it.op == proto::DirBatchOp::kLookupRead ||
+          it.op == proto::DirBatchOp::kTryClaim) {
+        out.push_back({});  // no master; claim not granted
+      } else {
+        out.push_back(inner_.batch(node, std::span(&it, 1)).front());
+      }
+    }
+    return out;
+  }
+
+ private:
+  LocalDirectory inner_;
+};
+
+TEST(CcmCluster, UnsettledBlocksFallBackToUncachedReads) {
+  const auto sizes = make_sizes(6, /*seed=*/13);
+  CcmHosting hosting;
+  hosting.directory = std::make_shared<RefusingDirectory>(3);
+  CcmCluster cluster(small_config(3, 16), std::make_shared<MemStorage>(sizes),
+                     hosting);
+  std::uint64_t blocks = 0;
+  for (cache::FileId f = 0; f < sizes.size(); ++f) {
+    const auto got = cluster.read(static_cast<cache::NodeId>(f % 3), f);
+    EXPECT_EQ(got.size(), sizes[f]);
+    EXPECT_TRUE(matches_storage(got, f)) << "file " << f;
+    blocks += cache::blocks_for(sizes[f], kBlock);
+  }
+  const auto counters = cluster.metrics().snapshot().counters;
+  EXPECT_EQ(
+      counters[static_cast<std::size_t>(obs::RtCounter::kUncachedFallback)],
+      blocks);
+  EXPECT_EQ(cluster.stats().disk_reads, blocks);
+  for (cache::NodeId n = 0; n < 3; ++n) EXPECT_EQ(cluster.cached_bytes(n), 0u);
+  EXPECT_TRUE(cluster.check_consistency());
+}
+
+// ----------------------------------------------------- RemoteDirectory ---
+
+TEST(RemoteDirectory, BatchOfOneAnswersLikeLocalDirectory) {
+  for (const auto mode :
+       {cache::DirectoryMode::kPerfect, cache::DirectoryMode::kHinted}) {
+    SCOPED_TRACE(mode == cache::DirectoryMode::kHinted ? "hinted" : "perfect");
+    // Node 0's cluster is the home; node 1 exists only as the remote
+    // client's address on the shared in-process transport.
+    auto transport = std::make_shared<net::InProcTransport>(2);
+    CcmHosting hosting;
+    hosting.transport = transport;
+    hosting.local_nodes = {0};
+    CcmConfig cfg = small_config(2, 16);
+    cfg.directory = mode;
+    CcmCluster home(cfg, std::make_shared<MemStorage>(make_sizes(2)),
+                    hosting);
+    RemoteDirectory remote(transport, /*local=*/1, /*home=*/0);
+    LocalDirectory local(2, mode, cache::CoopCacheConfig{}.hint_staleness);
+
+    const cache::BlockId b{1, 2};
+    const auto same_lookup = [&](cache::NodeId node) {
+      const auto r = remote.lookup_for_read(node, b);
+      const auto l = local.lookup_for_read(node, b);
+      EXPECT_EQ(r.master, l.master);
+      EXPECT_EQ(r.misdirected, l.misdirected);
+      EXPECT_EQ(r.epoch, l.epoch);
+      return l;
+    };
+    const auto same_cacheable = [&](std::uint64_t epoch) {
+      const bool l = local.read_cacheable(b.file, epoch);
+      EXPECT_EQ(remote.read_cacheable(b.file, epoch), l) << "epoch " << epoch;
+    };
+
+    same_lookup(1);                                  // cold: no master
+    EXPECT_EQ(remote.try_claim(b, 1), local.try_claim(b, 1));
+    EXPECT_EQ(remote.try_claim(b, 0), local.try_claim(b, 0));  // rival loses
+    const auto lk = same_lookup(0);
+    EXPECT_EQ(lk.master, 1u);
+    same_cacheable(lk.epoch);
+    same_cacheable(lk.epoch + 1);
+    remote.write_begin(b.file);  // a write in flight blocks caching
+    local.write_begin(b.file);
+    same_cacheable(lk.epoch);
+    remote.write_end(b.file);
+    local.write_end(b.file);
+    same_cacheable(lk.epoch);
+    remote.master_dropped(b, 0);  // conditional: node 0 is not the master
+    local.master_dropped(b, 0);
+    same_lookup(0);
+    remote.master_dropped(b, 1);
+    local.master_dropped(b, 1);
+    same_lookup(1);
+    remote.invalidate_file(b.file);  // epoch fence
+    local.invalidate_file(b.file);
+    const auto fenced = same_lookup(1);
+    same_cacheable(fenced.epoch - 1);
+    same_cacheable(fenced.epoch);
+
+    // Each counted call is one single and one trip, batch of one or not.
+    const auto calls = remote.calls();
+    EXPECT_EQ(calls.batches, 0u);
+    EXPECT_EQ(calls.singles, local.calls().singles);
+    EXPECT_EQ(calls.trips(), calls.singles);
+  }
+}
+
+TEST(RemoteDirectory, MalformedBatchReplyThrows) {
+  // A home that answers every batch with `reply_of(request items)`.
+  const auto throws_on = [](auto reply_of) {
+    auto transport = std::make_shared<net::InProcTransport>(2);
+    EXPECT_TRUE(transport->serve_direct(0, [&](net::Envelope& env) {
+      const auto req = proto::decode_dir_batch_request(env.data->bytes);
+      const std::size_t n = req ? req->items.size() : 0;
+      std::vector<std::byte> payload = reply_of(n);
+      net::Envelope out;
+      out.msg = proto::Message::dir_batch_reply(
+          0, env.msg.from, static_cast<std::uint32_t>(n), payload.size());
+      out.data = net::make_ready_block(std::move(payload));
+      return out;
+    }));
+    RemoteDirectory remote(transport, /*local=*/1, /*home=*/0);
+    const std::vector<proto::DirBatchItem> items = {
+        {proto::DirBatchOp::kLookupRead, {0, 0}},
+        {proto::DirBatchOp::kTryClaim, {0, 1}}};
+    EXPECT_THROW(remote.batch(1, items), net::TransportError);
+    EXPECT_THROW(remote.lookup_for_read(1, {0, 0}), net::TransportError);
+    transport->close();
+  };
+  // Truncated: the last result loses its flags byte.
+  throws_on([](std::size_t n) {
+    auto bytes = proto::encode_dir_batch_reply(
+        std::vector<proto::DirBatchResult>(n));
+    bytes.pop_back();
+    return bytes;
+  });
+  // Well-formed payload, wrong item count.
+  throws_on([](std::size_t n) {
+    return proto::encode_dir_batch_reply(
+        std::vector<proto::DirBatchResult>(n + 1));
+  });
 }
 
 // ------------------------------------------------------ write protocol ---

@@ -494,8 +494,7 @@ TEST(DirectoryService, WriteSpanBlocksReadCachingUntilItCloses) {
 
 // -------------------------------------- batched vs singles equivalence ---
 
-/// Applies one batch item through the singles protocol — the exact calls
-/// RemoteDirectory's no-batch fallback and the pre-batch runtime made — and
+/// Applies one batch item through the matching DirectoryService method and
 /// returns the result the batch op must match.
 DirBatchResult apply_single(DirectoryService& dir, cache::NodeId node,
                             const DirBatchItem& it) {
