@@ -31,8 +31,6 @@
 //                        number of this node's reads whose bytes failed the
 //                        workload's shape check (read_check_failures;
 //                        non-zero makes "consistent" false and exits 1)
-//   --metrics-out=PATH   dump this process's metrics registry in binary
-//                        snapshot form (aggregate with tools/ccm_metrics)
 //   --scrape             hold an extra post-run barrier so the home process
 //                        can scrape every process over kStatsPull; pass to
 //                        ALL nodes whenever the home gets --scrape-out
@@ -207,7 +205,6 @@ int main(int argc, char** argv) {
   hosting.transport = fabric;
   hosting.local_nodes = {local};
   hosting.home = home;
-  net::RetryStats proxy_retries;  // RemoteStorage/RemoteDirectory retries
   std::shared_ptr<ccm::Storage> storage;
   if (is_home) {
     storage = std::make_shared<ccm::BufferStorage>(
@@ -215,9 +212,9 @@ int main(int argc, char** argv) {
   } else {
     storage = std::make_shared<ccm::RemoteStorage>(
         fabric, local, home,
-        std::vector<std::uint32_t>(files, wl.file_bytes()), &proxy_retries);
-    hosting.directory = std::make_shared<ccm::RemoteDirectory>(
-        fabric, local, home, &proxy_retries);
+        std::vector<std::uint32_t>(files, wl.file_bytes()));
+    hosting.directory =
+        std::make_shared<ccm::RemoteDirectory>(fabric, local, home);
   }
   ccm::CcmCluster cluster(cfg, storage, hosting);
   transport->set_summary_source(
@@ -282,8 +279,9 @@ int main(int argc, char** argv) {
     cluster.barrier(local, kPhaseScraped);
   }
 
+  // Everything since the post-seed reset_stats(), proxies' RPCs included.
   const auto s = cluster.stats();
-  const auto ts = transport->stats();
+  const auto& ts = s.transport;
   const double batching =
       ts.flushes ? static_cast<double>(ts.sent) /
                        static_cast<double>(ts.flushes)
@@ -309,14 +307,11 @@ int main(int argc, char** argv) {
             << " ops), hints: " << s.hint_hits << " hits, " << s.hint_stale
             << " stale\n";
   if (faults_on) {
-    std::cout << "  faults: drops " << s.transport.injected_drops
-              << ", delays " << s.transport.injected_delays << ", duplicates "
-              << s.transport.injected_duplicates << ", reorders "
-              << s.transport.injected_reorders << "; rpc retries "
-              << s.transport.rpc_retries << ", timeouts "
-              << s.transport.rpc_timeouts << ", failures "
-              << s.transport.rpc_failures << ", proxy retries "
-              << proxy_retries.retries.load() << "\n";
+    std::cout << "  faults: drops " << ts.injected_drops << ", delays "
+              << ts.injected_delays << ", duplicates "
+              << ts.injected_duplicates << ", reorders " << ts.injected_reorders
+              << "; rpc retries " << ts.rpc_retries << ", timeouts "
+              << ts.rpc_timeouts << ", failures " << ts.rpc_failures << "\n";
   }
 
   int rc = 0;
@@ -370,6 +365,7 @@ int main(int argc, char** argv) {
     j.key("disk_reads").value(s.disk_reads);
     j.key("writes").value(s.writes);
     j.key("invalidations").value(s.invalidations);
+    j.key("forwards_accepted").value(s.forwards_accepted);
     j.end_object();
     j.key("directory_ops").begin_object();
     j.key("lookups").value(s.directory.lookups);
@@ -394,15 +390,13 @@ int main(int argc, char** argv) {
     j.key("bytes_sent").value(ts.bytes_sent);
     j.key("bytes_received").value(ts.bytes_received);
     j.key("frame_errors").value(ts.frame_errors);
-    j.key("injected_drops").value(s.transport.injected_drops);
-    j.key("injected_delays").value(s.transport.injected_delays);
-    j.key("injected_duplicates").value(s.transport.injected_duplicates);
-    j.key("injected_reorders").value(s.transport.injected_reorders);
-    j.key("rpc_timeouts").value(s.transport.rpc_timeouts);
-    j.key("rpc_retries").value(s.transport.rpc_retries);
-    j.key("rpc_failures").value(s.transport.rpc_failures);
-    j.key("proxy_retries").value(proxy_retries.retries.load());
-    j.key("proxy_failures").value(proxy_retries.failures.load());
+    j.key("injected_drops").value(ts.injected_drops);
+    j.key("injected_delays").value(ts.injected_delays);
+    j.key("injected_duplicates").value(ts.injected_duplicates);
+    j.key("injected_reorders").value(ts.injected_reorders);
+    j.key("rpc_timeouts").value(ts.rpc_timeouts);
+    j.key("rpc_retries").value(ts.rpc_retries);
+    j.key("rpc_failures").value(ts.rpc_failures);
     j.end_object();
     // Same schema as ccm_stress's "metrics" block, scoped to this process.
     ccm_bench::metrics_block(j, "metrics", cluster.metrics().snapshot());
@@ -433,17 +427,6 @@ int main(int argc, char** argv) {
     } else {
       std::cout << "  fault log (" << faulty->events().size()
                 << " events) -> " << path << "\n";
-    }
-  }
-
-  if (flags.has("metrics-out")) {
-    const std::string path = flags.get("metrics-out");
-    if (!ccm_bench::dump_metrics(cluster.metrics().snapshot(), path)) {
-      std::cerr << "ccm_node: cannot write metrics snapshot to " << path
-                << "\n";
-      rc = 1;
-    } else {
-      std::cout << "  metrics snapshot -> " << path << "\n";
     }
   }
 

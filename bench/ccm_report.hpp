@@ -5,8 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
-#include <string>
 
 #include "obs/metrics.hpp"
 #include "proto/message.hpp"
@@ -27,18 +25,6 @@ inline void metrics_block(coop::util::JsonWriter& j, const char* key,
                           const coop::obs::MetricsSnapshot& s) {
   j.key(key);
   coop::obs::metrics_json(j, s, &rpc_kind_name);
-}
-
-/// Writes a snapshot's binary form (MetricsSnapshot::encode) to `path` for
-/// offline aggregation by tools/ccm_metrics. False if the file won't open.
-inline bool dump_metrics(const coop::obs::MetricsSnapshot& s,
-                         const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  const auto wire = s.encode();
-  out.write(reinterpret_cast<const char*>(wire.data()),
-            static_cast<std::streamsize>(wire.size()));
-  return static_cast<bool>(out);
 }
 
 }  // namespace ccm_bench

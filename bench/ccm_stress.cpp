@@ -238,9 +238,7 @@ int main(int argc, char** argv) {
                             : 0.0;
     std::cout << "  shard " << n << ": lock acquired " << sh.lock_acquired
               << ", contended " << sh.lock_contended << " ("
-              << util::fixed(rate * 100.0, 2) << "%), local reads "
-              << sh.local_reads << ", msgs sent " << sh.messages_sent
-              << ", handled " << sh.messages_handled << "\n";
+              << util::fixed(rate * 100.0, 2) << "%)\n";
   }
 
   if (flags.has("json")) {
@@ -295,9 +293,6 @@ int main(int argc, char** argv) {
           .value(sh.lock_acquired ? static_cast<double>(sh.lock_contended) /
                                         static_cast<double>(sh.lock_acquired)
                                   : 0.0);
-      j.key("local_reads").value(sh.local_reads);
-      j.key("messages_sent").value(sh.messages_sent);
-      j.key("messages_handled").value(sh.messages_handled);
       j.end_object();
     }
     j.end_array();

@@ -11,10 +11,11 @@
 # LOCKCHECK_REPORT_DIR names a directory that collects per-process violation
 # dumps (the CI failure artifact).
 #
-# METRICS_DIR=<dir> turns on the telemetry harness: every process dumps a
-# binary metrics snapshot and a runtime span log there, node 0 additionally
-# scrapes the whole cluster over kStatsPull into cluster_metrics.json, and
-# tools/ccm_metrics cross-checks the offline merge and writes the combined
+# METRICS_DIR=<dir> turns on the telemetry harness: every process writes its
+# --json report and a runtime span log there, node 0 scrapes the whole
+# cluster over kStatsPull into cluster_metrics.json, the script checks that
+# the scrape covers every process and that its counters equal the sums of
+# the per-node reports, and tools/ccm_metrics merges the span logs into the
 # Perfetto trace runtime_trace.json (CI uploads the directory).
 set -euo pipefail
 
@@ -56,8 +57,7 @@ if [[ -n "$METRICS_DIR" ]]; then
 fi
 node_metrics() {  # node_metrics <i> -> per-process telemetry flags
   if [[ -n "$METRICS_DIR" ]]; then
-    echo "--metrics-out=$METRICS_DIR/node$1.ccms" \
-         "--runtime-trace-out=$METRICS_DIR/node$1.spans" \
+    echo "--runtime-trace-out=$METRICS_DIR/node$1.spans" \
          "--json=$METRICS_DIR/node$1.json"
   fi
 }
@@ -111,19 +111,36 @@ fi
 echo "OK: zero send-side payload copies on every node"
 
 if [[ -n "$METRICS_DIR" ]]; then
-  echo "== offline aggregation (ccm_metrics) =="
+  echo "== cluster scrape vs per-node reports =="
+  # One registry per process, and each scraped counter is the sum of the
+  # per-node stats() views it backs (ccm_node's --json totals and hints).
+  python3 - "$METRICS_DIR" "$NODES" <<'PY'
+import json, sys
+d, nodes = sys.argv[1], int(sys.argv[2])
+m = json.load(open(f"{d}/cluster_metrics.json"))["metrics"]
+if m["processes"] != nodes:
+    sys.exit(f"FAIL: cluster_metrics.json covers {m['processes']} "
+             f"of {nodes} processes")
+reports = [json.load(open(f"{d}/node{i}.json")) for i in range(nodes)]
+pairs = {"local-hits": ("totals", "local_hits"),
+         "peer-hits": ("totals", "remote_hits"),
+         "disk-reads": ("totals", "disk_reads"),
+         "master-forwards": ("totals", "forwards_accepted"),
+         "hint-hits": ("hints", "hits"),
+         "hint-stale": ("hints", "stale")}
+bad = []
+for name, (block, key) in pairs.items():
+    total = sum(r[block][key] for r in reports)
+    if m["counters"][name] != total:
+        bad.append(f"{name} {m['counters'][name]} != "
+                   f"sum of {block}.{key} {total}")
+if bad:
+    sys.exit("FAIL: scrape disagrees with the per-node reports: "
+             + "; ".join(bad))
+print(f"OK: cluster scrape covers all {nodes} processes "
+      "and equals the per-node sums")
+PY
+  echo "== span-log merge (ccm_metrics) =="
   "$BUILD/tools/ccm_metrics/ccm_metrics" \
-      --json-out="$METRICS_DIR/merged_metrics.json" \
-      --trace-out="$METRICS_DIR/runtime_trace.json" \
-      "$METRICS_DIR"/node*.ccms "$METRICS_DIR"/node*.spans
-  # The live kStatsPull scrape and the offline snapshot merge must agree on
-  # coverage: one registry per process.
-  for f in cluster_metrics.json merged_metrics.json; do
-    procs=$(python3 -c "import json,sys; print(json.load(open(sys.argv[1]))['metrics']['processes'])" "$METRICS_DIR/$f")
-    if [[ "$procs" != "$NODES" ]]; then
-      echo "FAIL: $f covers $procs of $NODES processes" >&2
-      exit 1
-    fi
-  done
-  echo "OK: cluster-wide metrics cover all $NODES processes (live scrape + offline merge)"
+      --trace-out="$METRICS_DIR/runtime_trace.json" "$METRICS_DIR"/node*.spans
 fi

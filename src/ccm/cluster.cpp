@@ -225,9 +225,6 @@ void CcmCluster::protocol_loop(cache::NodeId node) {
 
 CcmCluster::Reply CcmCluster::rpc(const proto::Message& msg, BlockPtr data,
                                   std::uint64_t epoch) {
-  if (msg.from != cache::kInvalidNode && shards_[msg.from]) {
-    shards_[msg.from]->messages_sent.fetch_add(1, std::memory_order_relaxed);
-  }
   net::Envelope env;
   env.msg = msg;
   env.epoch = epoch;
@@ -251,9 +248,7 @@ CcmCluster::Reply CcmCluster::rpc(const proto::Message& msg, BlockPtr data,
   // site absorbs the failure according to the protocol's idempotency rules
   // (see docs/FAULTS.md).
   try {
-    net::Envelope reply = net::call_with_retry(*transport_, env,
-                                               net::RetryPolicy{},
-                                               &retry_stats_);
+    net::Envelope reply = net::call_with_retry(*transport_, env);
     if (client_span != 0) {
       span_log_.record({env.msg.trace, client_span,
                         obs::tls_trace_context().span, wall0,
@@ -329,7 +324,6 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
                                              net::Envelope& env) {
   Shard& sh = *shards_[self];
   const proto::Message& msg = env.msg;
-  sh.messages_handled.fetch_add(1, std::memory_order_relaxed);
 
   switch (msg.kind) {
     case proto::MsgKind::kPeerFetch: {
@@ -692,7 +686,6 @@ void CcmCluster::make_room_locked(util::UniqueLock<util::CountingMutex>& lock,
     }
     lock.lock();
     if (accepted) {
-      ++sh.state.stats().forwards_accepted;
       metrics_.incr(obs::RtCounter::kMasterForward);
     } else {
       dir_->forward_rejected(pf->block, node);
@@ -798,9 +791,7 @@ void CcmCluster::acquire_run(
         const cache::BlockId block{file, b};
         if (const auto it = sh.store.find(block); it != sh.store.end()) {
           sh.state.touch(block, tick());
-          ++sh.state.stats().local_hits;
           metrics_.incr(obs::RtCounter::kLocalHit);
-          sh.local_reads.fetch_add(1, std::memory_order_relaxed);
           slot_of(b) = it->second;
           any = true;
         } else {
@@ -832,7 +823,7 @@ void CcmCluster::acquire_run(
           p.master = h->master;
           p.epoch = h->epoch;
           p.from_hint = true;
-          hint_hits_.fetch_add(1, std::memory_order_relaxed);
+          metrics_.incr(obs::RtCounter::kHintHit);
           continue;
         }
       }
@@ -892,9 +883,7 @@ void CcmCluster::acquire_run(
           const cache::BlockId block{file, b};
           if (const auto it = sh.store.find(block); it != sh.store.end()) {
             sh.state.touch(block, tick());
-            ++sh.state.stats().local_hits;
             metrics_.incr(obs::RtCounter::kLocalHit);
-            sh.local_reads.fetch_add(1, std::memory_order_relaxed);
             slot_of(b) = it->second;
           } else {
             claimed.push_back(b);
@@ -911,8 +900,6 @@ void CcmCluster::acquire_run(
             continue;
           }
           const cache::BlockId block{file, b};
-          ++sh.state.stats().disk_reads;
-          metrics_.incr(obs::RtCounter::kMasterClaim);
           metrics_.incr(obs::RtCounter::kDiskRead);
           sh.state.insert_master(block, tick());
           auto data = std::make_shared<BlockData>();
@@ -945,7 +932,7 @@ void CcmCluster::acquire_run(
       if (!hit) {
         // The master moved while the fetch flew, or is unreachable.
         if (p.from_hint) {
-          hint_stale_.fetch_add(1, std::memory_order_relaxed);
+          metrics_.incr(obs::RtCounter::kHintStale);
           hint_clear(block);
         }
         retry.push_back(p.index);
@@ -969,7 +956,6 @@ void CcmCluster::acquire_run(
           if (const auto it = sh.store.find(block); it != sh.store.end()) {
             // Another operation via this node cached it while we fetched.
             sh.state.touch(block, tick());
-            ++sh.state.stats().remote_hits;
             metrics_.incr(obs::RtCounter::kPeerHit);
             slot_of(p.index) = it->second;
           } else {
@@ -986,12 +972,10 @@ void CcmCluster::acquire_run(
           const cache::BlockId block{file, p.index};
           if (const auto it = sh.store.find(block); it != sh.store.end()) {
             sh.state.touch(block, tick());
-            ++sh.state.stats().remote_hits;
             metrics_.incr(obs::RtCounter::kPeerHit);
             slot_of(p.index) = it->second;
             continue;
           }
-          ++sh.state.stats().remote_hits;
           metrics_.incr(obs::RtCounter::kPeerHit);
           checks.push_back({proto::DirBatchOp::kValidate, block});
           checked.push_back(i);
@@ -1022,7 +1006,7 @@ void CcmCluster::acquire_run(
           } else if (p.from_hint) {
             // Stale hint: the bytes are still valid to *serve* (a read
             // racing a write may see superseded content), just not to cache.
-            hint_stale_.fetch_add(1, std::memory_order_relaxed);
+            metrics_.incr(obs::RtCounter::kHintStale);
             if (v.node != cache::kInvalidNode && v.node != node) {
               hint_publish(block, v.node, v.epoch);  // refresh from authority
             } else {
@@ -1043,10 +1027,6 @@ void CcmCluster::acquire_run(
   if (want.empty()) return;
   metrics_.incr(obs::RtCounter::kUncachedFallback, want.size());
   metrics_.incr(obs::RtCounter::kDiskRead, want.size());
-  {
-    util::ScopedLock lock(sh.mu);
-    sh.state.stats().disk_reads += want.size();
-  }
   for (const std::uint32_t b : want) {
     auto data = std::make_shared<BlockData>();
     to_read.emplace_back(cache::BlockId{file, b}, data);
@@ -1059,7 +1039,6 @@ std::vector<std::byte> CcmCluster::execute_read(cache::NodeId node,
                                                 std::uint64_t offset,
                                                 std::uint64_t length) {
   OpSpan op_span(span_log_, node, "read");
-  metrics_.incr(obs::RtCounter::kReadOp);
   const std::uint64_t op0 = obs::runtime_now_ns();
   if (length == 0) return {};
   const std::uint64_t file_bytes = storage_->file_size(file);
@@ -1119,7 +1098,6 @@ void CcmCluster::execute_write(cache::NodeId node, cache::FileId file,
                                std::uint64_t offset,
                                std::span<const std::byte> data) {
   OpSpan op_span(span_log_, node, "write");
-  metrics_.incr(obs::RtCounter::kWriteOp);
   const std::uint64_t op0 = obs::runtime_now_ns();
   if (data.empty()) return;
   assert(writable_ != nullptr);  // checked at the API boundary
@@ -1281,7 +1259,7 @@ void CcmCluster::invalidate(cache::FileId file) {
   // the per-node sweep below. The sweep is issued in this hosted node's
   // name (a transport needs a routable reply address).
   const cache::NodeId self = local_nodes_.front();
-  metrics_.incr(obs::RtCounter::kInvalidation);
+  metrics_.incr(obs::RtCounter::kFileInvalidation);
   dir_->invalidate_file(file);
   for (std::size_t n = 0; n < config_.nodes; ++n) {
     try {
@@ -1372,21 +1350,31 @@ CcmStats CcmCluster::stats() const {
     assert(out.lock_contended >= sh.lock_contended_floor);
     sh.lock_acquired_floor = out.lock_acquired;
     sh.lock_contended_floor = out.lock_contended;
-    out.local_reads = sh.local_reads.load(std::memory_order_relaxed);
-    out.messages_sent = sh.messages_sent.load(std::memory_order_relaxed);
-    out.messages_handled = sh.messages_handled.load(std::memory_order_relaxed);
   }
+  // The runtime counts these events in the registry alone (only the
+  // simulator's serial driver counts them in NodeState's CacheStats).
+  const obs::MetricsSnapshot m = metrics_.snapshot();
+  const auto count = [&m](obs::RtCounter c) {
+    return m.counters[static_cast<std::size_t>(c)];
+  };
+  s.local_hits = count(obs::RtCounter::kLocalHit);
+  s.remote_hits = count(obs::RtCounter::kPeerHit);
+  s.disk_reads = count(obs::RtCounter::kDiskRead);
+  s.forwards_accepted = count(obs::RtCounter::kMasterForward);
+  s.hint_hits = count(obs::RtCounter::kHintHit);
+  s.hint_stale = count(obs::RtCounter::kHintStale);
   s.directory = dir_->ops();
   s.hint_misdirects = s.directory.hint_misdirects;
   s.dir_client = dir_->calls();
-  s.hint_hits = hint_hits_.load(std::memory_order_relaxed);
-  s.hint_stale = hint_stale_.load(std::memory_order_relaxed);
-  s.transport = transport_->stats();
-  // Retries live at the rpc() layer, above any transport decorator.
-  s.transport.rpc_retries +=
-      retry_stats_.retries.load(std::memory_order_relaxed);
-  s.transport.rpc_failures +=
-      retry_stats_.failures.load(std::memory_order_relaxed);
+  const net::TransportStats now = transport_->stats();
+  {
+    util::ScopedLock lock(stats_mu_);
+    s.transport = now.since(transport_base_);
+  }
+  std::uint64_t retries = 0;
+  for (const obs::RpcKindSnapshot& k : m.rpc) retries += k.retries;
+  s.transport.rpc_retries = retries;
+  s.transport.rpc_failures = count(obs::RtCounter::kRpcFailure);
   return s;
 }
 
@@ -1399,17 +1387,13 @@ void CcmCluster::reset_stats() {
     sh.mu.reset_counts();
     sh.lock_acquired_floor = 0;
     sh.lock_contended_floor = 0;
-    sh.local_reads.store(0, std::memory_order_relaxed);
-    sh.messages_sent.store(0, std::memory_order_relaxed);
-    sh.messages_handled.store(0, std::memory_order_relaxed);
   }
-  retry_stats_.retries.store(0, std::memory_order_relaxed);
-  retry_stats_.failures.store(0, std::memory_order_relaxed);
   dir_->reset_ops();
   dir_->reset_calls();
-  hint_hits_.store(0, std::memory_order_relaxed);
-  hint_stale_.store(0, std::memory_order_relaxed);
   metrics_.reset();
+  const net::TransportStats now = transport_->stats();
+  util::ScopedLock lock(stats_mu_);
+  transport_base_ = now;
 }
 
 void CcmCluster::enable_runtime_trace() {

@@ -101,17 +101,23 @@ struct CcmHosting {
   cache::NodeId home = 0;
 };
 
-/// Policy statistics plus the runtime's per-shard, directory, and transport
-/// counters. In a multi-process cluster each process reports its own slice
-/// (remote shards are all-zero rows; directory ops are home-only).
+/// This process's runtime counters since its last reset_stats(), each event
+/// counted once (docs/OBSERVABILITY.md, "Runtime telemetry", has the table).
+/// A view assembled per call from the layers that own the counts:
+///  * local_hits, remote_hits, disk_reads, forwards_accepted, hint_hits,
+///    hint_stale and transport.rpc_retries/rpc_failures from the metrics
+///    registry — the slots the kStatsPull scrape carries;
+///  * the other cache::CacheStats fields from each shard's proto::NodeState;
+///  * lock counts from each shard's mutex, `directory` from the home's
+///    DirectoryService, `dir_client` from this process's DirectoryClient;
+///  * `transport` from the transport, counted from the last reset_stats()
+///    except payload_copies, which stays a lifetime count.
+/// In a multi-process cluster each process reports its own slice (remote
+/// shards are all-zero rows; directory ops are home-only).
 struct CcmStats : cache::CacheStats {
   struct Shard {
     std::uint64_t lock_acquired = 0;
     std::uint64_t lock_contended = 0;
-    /// Reads satisfied entirely under this shard's lock (the hot path).
-    std::uint64_t local_reads = 0;
-    std::uint64_t messages_sent = 0;
-    std::uint64_t messages_handled = 0;
   };
   std::vector<Shard> shards;
   proto::DirectoryService::Ops directory;
@@ -120,7 +126,7 @@ struct CcmStats : cache::CacheStats {
   /// batch round trips (dir_client.trips() is the number batching shrinks).
   DirectoryClient::Calls dir_client;
   /// Lock-free hint-slot probes that short-circuited a directory lookup, and
-  /// how many of those hints later failed validation (served uncached).
+  /// how many of those hints later failed their fetch or validation.
   std::uint64_t hint_hits = 0;
   std::uint64_t hint_stale = 0;
 };
@@ -215,8 +221,9 @@ class CcmCluster {
     return local_nodes_;
   }
 
-  /// Snapshot of the policy statistics plus per-shard lock/message counters.
+  /// Counters since the last reset_stats() (see CcmStats).
   [[nodiscard]] CcmStats stats() const;
+  /// Restarts every stats() counter and the metrics registry.
   void reset_stats();
 
   /// Bytes currently cached at `node` (block-granular accounting; the node
@@ -235,9 +242,9 @@ class CcmCluster {
   // --- runtime telemetry (docs/OBSERVABILITY.md, "Runtime telemetry") ---
 
   /// This process's live metrics registry: per-MsgKind RPC latency/bytes
-  /// histograms (recorded at the transport seam), hit/miss/forward/claim
-  /// counters, and shard-lock wait distributions. Lock-free record path;
-  /// snapshot() at any time.
+  /// histograms (recorded at the transport seam), the hit, disk-read,
+  /// forward, hint and failure counters stats() reads back, and shard-lock
+  /// wait distributions. Lock-free record path; snapshot() at any time.
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;
@@ -298,9 +305,6 @@ class CcmCluster {
     /// far, asserted non-decreasing between reset_stats() calls.
     mutable std::uint64_t lock_acquired_floor GUARDED_BY(mu) = 0;
     mutable std::uint64_t lock_contended_floor GUARDED_BY(mu) = 0;
-    std::atomic<std::uint64_t> local_reads{0};
-    std::atomic<std::uint64_t> messages_sent{0};
-    std::atomic<std::uint64_t> messages_handled{0};
     /// workers_per_node slots, one held by each read/read_range/write in
     /// flight via this node.
     std::counting_semaphore<> admission;
@@ -477,17 +481,18 @@ class CcmCluster {
   ShardView view_{*this};
   std::atomic<std::uint64_t> clock_{0};
 
-  /// Master-location hint slots (see above) and their probe counters.
+  /// Master-location hint slots (see above); their probes count in the
+  /// registry's hint-hits / hint-stale slots.
   std::array<HintSlot, kHintSlots> hints_;
-  std::atomic<std::uint64_t> hint_hits_{0};
-  std::atomic<std::uint64_t> hint_stale_{0};
 
-  /// Bounded-retry counters for every rpc() (merged into stats().transport).
-  net::RetryStats retry_stats_;
-
-  /// Runtime telemetry: installed on the (outermost) transport at
-  /// construction so call() records per-kind RPC samples into it.
+  /// Runtime telemetry, and the source of stats()'s event counts: installed
+  /// on the (outermost) transport at construction so call() records
+  /// per-kind RPC samples into it.
   obs::MetricsRegistry metrics_;
+  /// transport_->stats() at the last reset_stats(); stats().transport
+  /// reports the counts since.
+  mutable util::Mutex stats_mu_{"ccm.stats"};
+  net::TransportStats transport_base_ GUARDED_BY(stats_mu_);
   /// Wall-clock span sink; inert until enable_runtime_trace().
   obs::RuntimeSpanLog span_log_;
 

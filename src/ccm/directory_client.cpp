@@ -11,9 +11,7 @@ proto::Message RemoteDirectory::ask(const proto::Message& request) {
   // and every kDir* operation RemoteDirectory issues is idempotent or
   // conditional at the service (see DirectoryService), so a re-ask whose
   // first reply was lost is safe.
-  return net::call_with_retry(*transport_, env, net::RetryPolicy{},
-                              retry_stats_)
-      .msg;
+  return net::call_with_retry(*transport_, env).msg;
 }
 
 proto::DirBatchResult RemoteDirectory::ask_one(cache::NodeId node,
@@ -119,8 +117,7 @@ std::vector<proto::DirBatchResult> RemoteDirectory::batch_impl(
   // Same at-least-once contract as ask(): a replayed batch re-executes ops
   // that are individually idempotent or conditional, exactly like replaying
   // each single.
-  net::Envelope reply =
-      net::call_with_retry(*transport_, env, net::RetryPolicy{}, retry_stats_);
+  net::Envelope reply = net::call_with_retry(*transport_, env);
   if (reply.msg.kind == proto::MsgKind::kDirBatchReply && reply.data) {
     reply.data->wait_ready();
     auto results = proto::decode_dir_batch_reply(reply.data->bytes);

@@ -269,15 +269,9 @@ class LocalDirectory final : public DirectoryClient {
 /// generic kDirReply.
 class RemoteDirectory final : public DirectoryClient {
  public:
-  /// `retry_stats` (optional, must outlive the client) accumulates the
-  /// bounded-retry counters of every directory RPC.
   RemoteDirectory(std::shared_ptr<net::Transport> transport,
-                  cache::NodeId local, cache::NodeId home,
-                  net::RetryStats* retry_stats = nullptr)
-      : transport_(std::move(transport)),
-        local_(local),
-        home_(home),
-        retry_stats_(retry_stats) {}
+                  cache::NodeId local, cache::NodeId home)
+      : transport_(std::move(transport)), local_(local), home_(home) {}
 
   proto::DirectoryService::Ops ops() override { return {}; }
   void reset_ops() override {}
@@ -321,7 +315,6 @@ class RemoteDirectory final : public DirectoryClient {
   std::shared_ptr<net::Transport> transport_;
   cache::NodeId local_;
   cache::NodeId home_;
-  net::RetryStats* retry_stats_;
 };
 
 }  // namespace coop::ccm

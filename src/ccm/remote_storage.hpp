@@ -24,17 +24,13 @@ namespace coop::ccm {
 
 class RemoteStorage final : public WritableStorage {
  public:
-  /// `retry_stats` (optional, must outlive the proxy) accumulates the
-  /// bounded-retry counters of every storage RPC.
   RemoteStorage(std::shared_ptr<net::Transport> transport,
                 cache::NodeId local, cache::NodeId home,
-                std::vector<std::uint32_t> file_sizes,
-                net::RetryStats* retry_stats = nullptr)
+                std::vector<std::uint32_t> file_sizes)
       : transport_(std::move(transport)),
         local_(local),
         home_(home),
-        sizes_(std::move(file_sizes)),
-        retry_stats_(retry_stats) {}
+        sizes_(std::move(file_sizes)) {}
 
   [[nodiscard]] std::size_t file_count() const override {
     return sizes_.size();
@@ -51,7 +47,6 @@ class RemoteStorage final : public WritableStorage {
   cache::NodeId local_;
   cache::NodeId home_;
   std::vector<std::uint32_t> sizes_;
-  net::RetryStats* retry_stats_;
 };
 
 }  // namespace coop::ccm

@@ -2,56 +2,16 @@
 
 #include <cstring>
 
+#include "util/byte_order.hpp"
+
 namespace coop::net {
 
-namespace {
-
-void put_u16(std::vector<std::byte>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::byte>(v & 0xFF));
-  out.push_back(static_cast<std::byte>((v >> 8) & 0xFF));
-}
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u32_at(std::byte* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-void put_u64_at(std::byte* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-std::uint16_t get_u16(const std::byte* p) {
-  return static_cast<std::uint16_t>(
-      std::to_integer<std::uint16_t>(p[0]) |
-      (std::to_integer<std::uint16_t>(p[1]) << 8));
-}
-
-std::uint32_t get_u32(const std::byte* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= std::to_integer<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const std::byte* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= std::to_integer<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
+using util::get_u16;
+using util::get_u32;
+using util::get_u64;
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
 
 std::vector<std::byte> encode_handshake(cache::NodeId node) {
   std::vector<std::byte> out;
@@ -76,15 +36,14 @@ FrameHeaderBytes encode_frame_header(const Envelope& env,
   const std::size_t payload = env.data ? env.data->bytes.size() : 0;
   FrameHeaderBytes out{};
   std::byte* p = out.data();
-  put_u32_at(p, static_cast<std::uint32_t>(kFrameFixedSize + payload));
+  put_u32(p, static_cast<std::uint32_t>(kFrameFixedSize + payload));
   p[4] = static_cast<std::byte>(sender_full ? 1 : 0);
-  put_u64_at(p + 5, sender_age);
-  put_u64_at(p + 13, env.seq);
-  put_u64_at(p + 21, env.epoch);
+  put_u64(p + 5, sender_age);
+  put_u64(p + 13, env.seq);
+  put_u64(p + 21, env.epoch);
   const proto::WireBytes wire = proto::encode(env.msg);
   std::memcpy(p + 29, wire.data(), wire.size());
-  put_u32_at(p + 29 + proto::kWireSize,
-             static_cast<std::uint32_t>(payload));
+  put_u32(p + 29 + proto::kWireSize, static_cast<std::uint32_t>(payload));
   return out;
 }
 

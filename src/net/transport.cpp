@@ -16,6 +16,25 @@ namespace coop::net {
 static_assert(proto::kMsgKindCount <= obs::kMaxRpcKinds,
               "obs::kMaxRpcKinds must cover every proto::MsgKind");
 
+TransportStats TransportStats::since(const TransportStats& base) const {
+  TransportStats d = *this;
+  d.sent -= base.sent;
+  d.received -= base.received;
+  d.rpcs -= base.rpcs;
+  d.bytes_sent -= base.bytes_sent;
+  d.bytes_received -= base.bytes_received;
+  d.flushes -= base.flushes;
+  d.frame_errors -= base.frame_errors;
+  d.injected_drops -= base.injected_drops;
+  d.injected_delays -= base.injected_delays;
+  d.injected_duplicates -= base.injected_duplicates;
+  d.injected_reorders -= base.injected_reorders;
+  d.rpc_timeouts -= base.rpc_timeouts;
+  d.rpc_retries -= base.rpc_retries;
+  d.rpc_failures -= base.rpc_failures;
+  return d;
+}
+
 Envelope Transport::call(Envelope env) {
   auto* m = metrics_.load(std::memory_order_acquire);
   if (m == nullptr) return call_impl(std::move(env));
@@ -33,10 +52,18 @@ Envelope Transport::call(Envelope env) {
   }
 }
 
-Envelope call_with_retry(Transport& transport, const Envelope& env,
-                         const RetryPolicy& policy,
-                         RetryStats* retry_stats) {
-  auto backoff = policy.backoff;
+namespace {
+
+/// call_with_retry's budget (see its comment in transport.hpp); the backoff
+/// doubles per retry up to the cap.
+constexpr int kRetryAttempts = 4;
+constexpr std::chrono::milliseconds kRetryBackoff{2};
+constexpr std::chrono::milliseconds kRetryMaxBackoff{100};
+
+}  // namespace
+
+Envelope call_with_retry(Transport& transport, const Envelope& env) {
+  auto backoff = kRetryBackoff;
   for (int attempt = 1;; ++attempt) {
     try {
       // Fresh copy per attempt: call() stamps a new seq, and the previous
@@ -44,24 +71,18 @@ Envelope call_with_retry(Transport& transport, const Envelope& env,
       // re-sends stay cheap).
       return transport.call(env);
     } catch (const TransportError& e) {
-      if (!e.transient() || attempt >= policy.attempts) {
-        if (retry_stats != nullptr) {
-          retry_stats->failures.fetch_add(1, std::memory_order_relaxed);
+      if (!e.transient() || attempt >= kRetryAttempts) {
+        if (auto* m = transport.metrics()) {
+          m->incr(obs::RtCounter::kRpcFailure);
         }
         throw;
       }
-    }
-    if (retry_stats != nullptr) {
-      retry_stats->retries.fetch_add(1, std::memory_order_relaxed);
     }
     if (auto* m = transport.metrics()) {
       m->record_retry(static_cast<std::uint8_t>(env.msg.kind));
     }
     std::this_thread::sleep_for(backoff);
-    backoff = std::min(
-        std::chrono::milliseconds(static_cast<std::int64_t>(
-            static_cast<double>(backoff.count()) * policy.multiplier)),
-        policy.max_backoff);
+    backoff = std::min(backoff * 2, kRetryMaxBackoff);
   }
 }
 

@@ -45,11 +45,13 @@
 
 namespace coop::net {
 
-/// Delivery counters, uniform across implementations; the socket transport
-/// also fills the byte/flush fields (one flush == one write syscall, so
-/// sent/flushes is the control-message batching factor). The injected_*
-/// fields are filled only by FaultyTransport (net/fault.hpp); the rpc_*
-/// failure counters by the call()/call_with_retry recovery paths.
+/// Delivery counters, uniform across implementations and counted from
+/// construction; the socket transport also fills the byte/flush fields (one
+/// flush == one write syscall, so sent/flushes is the control-message
+/// batching factor). The injected_* fields are filled only by FaultyTransport
+/// (net/fault.hpp). No transport fills rpc_retries or rpc_failures:
+/// CcmCluster::stats() sets them from the metrics registry, where
+/// call_with_retry records them.
 struct TransportStats {
   std::uint64_t sent = 0;            // envelopes handed to the transport
   std::uint64_t received = 0;        // envelopes delivered (incl. replies)
@@ -70,6 +72,11 @@ struct TransportStats {
   /// the TCP writer scatter-gathers {frame header, payload} straight from
   /// the shared BlockData buffer (CI asserts == 0 on the loopback cluster).
   std::uint64_t payload_copies = 0;
+
+  /// The counts accrued since `base`, an earlier reading of the same
+  /// transport. payload_copies stays the lifetime count, so a zero-copy
+  /// check over a window still covers everything before it.
+  [[nodiscard]] TransportStats since(const TransportStats& base) const;
 };
 
 /// Classified transport failure. Everything the transports throw on a
@@ -94,23 +101,6 @@ class TransportError : public std::runtime_error {
 
  private:
   Kind kind_;
-};
-
-/// Bounded-retry envelope for call(): geometric backoff, hard attempt cap.
-/// The defaults ride out a few injected drops or a send-window partition
-/// without masking a genuinely dead peer for more than ~a quarter second.
-struct RetryPolicy {
-  int attempts = 4;                       // total tries (1 = no retry)
-  std::chrono::milliseconds backoff{2};   // sleep before the first retry
-  double multiplier = 2.0;                // backoff growth per retry
-  std::chrono::milliseconds max_backoff{100};
-};
-
-/// Shared counters a retry call-site aggregates into (thread-safe; merged
-/// into TransportStats::rpc_retries / rpc_failures by the owner).
-struct RetryStats {
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> failures{0};
 };
 
 class Transport {
@@ -194,13 +184,15 @@ class Transport {
 };
 
 /// Issues `env` through transport.call(), re-attempting on transient
-/// TransportErrors under `policy` (each attempt re-sends a fresh copy; the
-/// request must therefore be idempotent or tolerated as at-least-once — see
-/// docs/FAULTS.md for the per-kind analysis). Non-transient errors and
-/// exhausted budgets propagate the last error after counting a failure.
-Envelope call_with_retry(Transport& transport, const Envelope& env,
-                         const RetryPolicy& policy = {},
-                         RetryStats* retry_stats = nullptr);
+/// TransportErrors: 4 attempts in all, with a geometric backoff from 2 ms
+/// capped at 100 ms — enough to ride out a few injected drops or a
+/// send-window partition without masking a dead peer for more than about a
+/// quarter second. Each attempt re-sends a fresh copy, so the request must be
+/// idempotent or tolerated as at-least-once (docs/FAULTS.md has the per-kind
+/// analysis). Non-transient errors and exhausted budgets propagate the last
+/// error. With a registry installed on `transport`, each re-attempt counts
+/// in its kind's `retries` and each exhausted budget in `rpc-failures`.
+Envelope call_with_retry(Transport& transport, const Envelope& env);
 
 /// All nodes in one process. A node bound with serve_direct() is served on
 /// the caller's thread — no mailbox, pending-table entry, condition

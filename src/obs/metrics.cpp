@@ -6,6 +6,7 @@
 #include <cstring>
 #include <thread>
 
+#include "util/byte_order.hpp"
 #include "util/json.hpp"
 
 namespace coop::obs {
@@ -42,11 +43,11 @@ const char* rt_counter_name(RtCounter c) {
     case RtCounter::kPeerHit: return "peer-hits";
     case RtCounter::kDiskRead: return "disk-reads";
     case RtCounter::kUncachedFallback: return "uncached-fallbacks";
-    case RtCounter::kMasterClaim: return "master-claims";
     case RtCounter::kMasterForward: return "master-forwards";
-    case RtCounter::kInvalidation: return "invalidations";
-    case RtCounter::kReadOp: return "read-ops";
-    case RtCounter::kWriteOp: return "write-ops";
+    case RtCounter::kFileInvalidation: return "file-invalidations";
+    case RtCounter::kHintHit: return "hint-hits";
+    case RtCounter::kHintStale: return "hint-stale";
+    case RtCounter::kRpcFailure: return "rpc-failures";
     case RtCounter::kStatsScrape: return "stats-scrapes";
     case RtCounter::kCount: break;
   }
@@ -112,19 +113,12 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
 
 namespace {
 
+using util::get_u32;
+using util::get_u64;
+using util::put_u32;
+using util::put_u64;
+
 constexpr std::uint32_t kSnapshotMagic = 0x534D4343;  // "CCMS"
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-  }
-}
 
 class WireReader {
  public:
@@ -132,20 +126,14 @@ class WireReader {
 
   bool u32(std::uint32_t& v) {
     if (pos_ + 4 > wire_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= std::to_integer<std::uint32_t>(wire_[pos_ + i]) << (8 * i);
-    }
+    v = get_u32(wire_.data() + pos_);
     pos_ += 4;
     return true;
   }
 
   bool u64(std::uint64_t& v) {
     if (pos_ + 8 > wire_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= std::to_integer<std::uint64_t>(wire_[pos_ + i]) << (8 * i);
-    }
+    v = get_u64(wire_.data() + pos_);
     pos_ += 8;
     return true;
   }

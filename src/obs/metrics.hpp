@@ -55,18 +55,20 @@ std::size_t hist_bucket(std::uint64_t value);
 /// Inclusive lower bound of a bucket.
 std::uint64_t hist_bucket_floor(std::size_t bucket);
 
-/// Named runtime counters the middleware increments on its hot paths.
+/// Named runtime counters, one per event; CcmCluster::stats() reads the
+/// hit, read, forward and hint counts back from here (docs/OBSERVABILITY.md,
+/// "Runtime telemetry", defines each).
 enum class RtCounter : std::uint8_t {
   kLocalHit = 0,      // block served from the requesting node's own shard
   kPeerHit,           // block copied from a remote master (coop-cache win)
   kDiskRead,          // block faulted in from backing storage (miss)
   kUncachedFallback,  // claim retries exhausted -> one-shot uncached read
-  kMasterClaim,       // directory claims granted to this process's shards
-  kMasterForward,     // masters shipped to a peer instead of evicted
-  kInvalidation,      // file invalidations initiated here
-  kReadOp,            // public read()/read_range() operations
-  kWriteOp,           // public write() operations
-  kStatsScrape,       // kStatsPull requests answered
+  kMasterForward,     // evicted masters a peer accepted (forwarded)
+  kFileInvalidation,  // invalidate() calls made here
+  kHintHit,           // hint slot answered a directory lookup
+  kHintStale,         // a hinted master failed its fetch or validation
+  kRpcFailure,        // call_with_retry gave up: budget spent or error final
+  kStatsScrape,       // scrapes started + kStatsPull requests answered
   kCount,
 };
 
@@ -102,12 +104,13 @@ struct RpcKindSnapshot {
   void merge(const RpcKindSnapshot& other);
 };
 
-/// Snapshot format version carried on the wire (kStatsPull payloads and
-/// `--metrics-out` dumps); bump when the layout changes. RPC rows are indexed
-/// by message-kind value, so a renumbering of proto::MsgKind is a layout
-/// change (v2: five unused directory kinds removed; v3: the four single
-/// directory kinds a kDirBatchRequest carries removed).
-inline constexpr std::uint32_t kMetricsVersion = 3;
+/// Snapshot format version carried on the wire (kStatsPull payloads); bump
+/// when the layout changes. RPC rows are indexed by message-kind value, so a
+/// renumbering of proto::MsgKind is a layout change (v2: five unused
+/// directory kinds removed; v3: the four single directory kinds a
+/// kDirBatchRequest carries removed; v4: counter slots now one per event —
+/// claims and op counts dropped, hint and rpc-failure counts added).
+inline constexpr std::uint32_t kMetricsVersion = 4;
 
 /// One process's (or, after merging, one cluster's) runtime metrics.
 struct MetricsSnapshot {

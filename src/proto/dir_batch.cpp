@@ -1,42 +1,17 @@
 #include "proto/dir_batch.hpp"
 
+#include "util/byte_order.hpp"
+
 namespace coop::proto {
 
+using util::get_u16;
+using util::get_u32;
+using util::get_u64;
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
+
 namespace {
-
-void put_u16(std::vector<std::byte>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::byte>(v & 0xFF));
-  out.push_back(static_cast<std::byte>((v >> 8) & 0xFF));
-}
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint16_t get_u16(const std::byte* p) {
-  return static_cast<std::uint16_t>(std::to_integer<std::uint16_t>(p[0]) |
-                                    (std::to_integer<std::uint16_t>(p[1]) << 8));
-}
-
-std::uint32_t get_u32(const std::byte* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::to_integer<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::byte* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::to_integer<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
 
 constexpr std::uint8_t kResultFlagMask = kFlagGranted | kFlagMisdirected;
 

@@ -3,45 +3,16 @@
 #include <cassert>
 #include <cstring>
 
+#include "util/byte_order.hpp"
+
 namespace coop::proto {
 
-namespace {
-
-void put_u16(std::byte* p, std::uint16_t v) {
-  p[0] = static_cast<std::byte>(v & 0xFF);
-  p[1] = static_cast<std::byte>((v >> 8) & 0xFF);
-}
-
-void put_u32(std::byte* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-void put_u64(std::byte* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-std::uint16_t get_u16(const std::byte* p) {
-  return static_cast<std::uint16_t>(std::to_integer<std::uint16_t>(p[0]) |
-                                    (std::to_integer<std::uint16_t>(p[1]) << 8));
-}
-
-std::uint32_t get_u32(const std::byte* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::to_integer<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::byte* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::to_integer<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-}  // namespace
+using util::get_u16;
+using util::get_u32;
+using util::get_u64;
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
 
 Message Message::peer_fetch(NodeId from, NodeId to, const BlockId& b,
                             bool misdirected) {

@@ -299,6 +299,29 @@ TEST(CcmCluster, StatsAndReset) {
   EXPECT_GT(cluster.cached_bytes(0), 0u);
 }
 
+TEST(CcmCluster, ResetStatsRestartsTransportCounters) {
+  // Seeding writes send invalidate-block RPCs; reset_stats() must forget
+  // them like every other stats() field.
+  const std::vector<std::uint32_t> sizes(6, 2 * kBlock);
+  auto storage = std::make_shared<BufferStorage>(sizes);
+  CcmCluster cluster(small_config(3, 16), storage);
+  for (cache::FileId f = 0; f < sizes.size(); ++f) {
+    cluster.write(static_cast<cache::NodeId>(f % 3), f, 0,
+                  std::vector<std::byte>(sizes[f], std::byte{0x5A}));
+  }
+  ASSERT_GT(cluster.stats().transport.rpcs, 0u);
+  cluster.reset_stats();
+  EXPECT_EQ(cluster.stats().transport.rpcs, 0u);
+
+  for (cache::FileId f = 0; f < sizes.size(); ++f) {
+    cluster.read(static_cast<cache::NodeId>((f + 1) % 3), f);
+  }
+  std::uint64_t calls = 0;
+  for (const auto& k : cluster.metrics().snapshot().rpc) calls += k.calls;
+  EXPECT_GT(calls, 0u);
+  EXPECT_EQ(cluster.stats().transport.rpcs, calls);
+}
+
 TEST(CcmCluster, HintedDirectoryModeWorks) {
   auto storage = std::make_shared<MemStorage>(make_sizes(30, /*seed=*/7));
   CcmConfig cfg = small_config(3, 16);

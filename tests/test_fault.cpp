@@ -26,6 +26,7 @@
 #include "ccm/storage.hpp"
 #include "net/fault.hpp"
 #include "net/transport.hpp"
+#include "obs/metrics.hpp"
 #include "proto/directory_service.hpp"
 #include "proto/message.hpp"
 #include "sim/random.hpp"
@@ -133,19 +134,33 @@ net::Envelope barrier_to_1(std::uint32_t phase) {
   return env;
 }
 
+/// call_with_retry's re-attempts of kBarrier, as the registry installed on
+/// the transport counts them.
+std::uint64_t barrier_retries(const obs::MetricsRegistry& metrics) {
+  return metrics.snapshot()
+      .rpc[static_cast<std::size_t>(proto::MsgKind::kBarrier)]
+      .retries;
+}
+
+/// Retry budgets call_with_retry exhausted, from the same registry.
+std::uint64_t rpc_failures(const obs::MetricsRegistry& metrics) {
+  return metrics.snapshot()
+      .counters[static_cast<std::size_t>(obs::RtCounter::kRpcFailure)];
+}
+
 TEST(FaultyTransport, DroppedRequestFailsCallAndRetryHeals) {
+  obs::MetricsRegistry metrics;
   net::FaultyTransport t(std::make_shared<net::InProcTransport>(2),
                          net::FaultSchedule::parse("drop:kind=barrier,count=1"));
+  t.set_metrics(&metrics);
   {
     CountingEchoServer server(t);
-    net::RetryStats retries;
-    const net::Envelope reply =
-        net::call_with_retry(t, barrier_to_1(7), net::RetryPolicy{}, &retries);
+    const net::Envelope reply = net::call_with_retry(t, barrier_to_1(7));
     EXPECT_EQ(reply.msg.kind, proto::MsgKind::kBarrierReply);
     EXPECT_EQ(reply.msg.count, 7u);
     // First attempt consumed by the rule pre-send, second went through.
-    EXPECT_EQ(retries.retries.load(), 1u);
-    EXPECT_EQ(retries.failures.load(), 0u);
+    EXPECT_EQ(barrier_retries(metrics), 1u);
+    EXPECT_EQ(rpc_failures(metrics), 0u);
     // The dropped attempt never reached the server; only the retry did.
     EXPECT_EQ(server.handled(), 1u);
     t.close();
@@ -160,17 +175,17 @@ TEST(FaultyTransport, DroppedRequestFailsCallAndRetryHeals) {
 }
 
 TEST(FaultyTransport, ReplyDropModelsAtLeastOnceExecution) {
+  obs::MetricsRegistry metrics;
   net::FaultyTransport t(
       std::make_shared<net::InProcTransport>(2),
       net::FaultSchedule::parse("drop:kind=barrier,reply=1,count=1"));
+  t.set_metrics(&metrics);
   std::uint64_t handled = 0;
   {
     CountingEchoServer server(t);
-    net::RetryStats retries;
-    const net::Envelope reply =
-        net::call_with_retry(t, barrier_to_1(3), net::RetryPolicy{}, &retries);
+    const net::Envelope reply = net::call_with_retry(t, barrier_to_1(3));
     EXPECT_EQ(reply.msg.count, 3u);
-    EXPECT_EQ(retries.retries.load(), 1u);
+    EXPECT_EQ(barrier_retries(metrics), 1u);
     t.close();
     handled = server.handled();
   }
@@ -251,18 +266,18 @@ TEST(FaultyTransport, CrashedNodeFailsFastAndRevives) {
 
 TEST(FaultyTransport, RetryGivesUpAfterBudgetAndCountsFailure) {
   // Every request dropped: all four attempts are consumed pre-send.
+  obs::MetricsRegistry metrics;
   net::FaultyTransport t(std::make_shared<net::InProcTransport>(2),
                          net::FaultSchedule::parse("drop:kind=barrier"));
-  net::RetryStats retries;
+  t.set_metrics(&metrics);
   try {
-    (void)net::call_with_retry(t, barrier_to_1(1), net::RetryPolicy{},
-                               &retries);
+    (void)net::call_with_retry(t, barrier_to_1(1));
     FAIL() << "exhausted retry budget must propagate the last error";
   } catch (const net::TransportError& e) {
     EXPECT_EQ(e.kind(), net::TransportError::Kind::kInjected);
   }
-  EXPECT_EQ(retries.retries.load(), 3u);   // attempts - 1
-  EXPECT_EQ(retries.failures.load(), 1u);
+  EXPECT_EQ(barrier_retries(metrics), 3u);  // attempts - 1
+  EXPECT_EQ(rpc_failures(metrics), 1u);
   EXPECT_EQ(t.stats().injected_drops, 4u);
   t.close();
 }

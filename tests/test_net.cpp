@@ -26,6 +26,7 @@
 #include "net/frame.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/transport.hpp"
+#include "obs/metrics.hpp"
 #include "proto/dir_batch.hpp"
 #include "sim/random.hpp"
 
@@ -813,6 +814,32 @@ TEST(ClusterOverTcp, StorageBytesMatchInProcessRun) {
     });
   }
   for (auto& t : drivers) t.join();
+
+  // With every node quiet, the kStatsPull scrape reaches all three processes
+  // and carries each one's event counters: every slot equals the sum of the
+  // clusters' stats() fields it backs.
+  const obs::MetricsSnapshot scraped = clusters[0]->scrape_cluster();
+  EXPECT_EQ(scraped.processes, kEqNodes);
+  ccm::CcmStats sum;
+  for (const auto& c : clusters) {
+    const ccm::CcmStats s = c->stats();
+    sum.local_hits += s.local_hits;
+    sum.remote_hits += s.remote_hits;
+    sum.disk_reads += s.disk_reads;
+    sum.forwards_accepted += s.forwards_accepted;
+    sum.hint_hits += s.hint_hits;
+    sum.hint_stale += s.hint_stale;
+  }
+  EXPECT_GT(sum.block_accesses(), 0u);
+  const auto slot = [&scraped](obs::RtCounter c) {
+    return scraped.counters[static_cast<std::size_t>(c)];
+  };
+  EXPECT_EQ(slot(obs::RtCounter::kLocalHit), sum.local_hits);
+  EXPECT_EQ(slot(obs::RtCounter::kPeerHit), sum.remote_hits);
+  EXPECT_EQ(slot(obs::RtCounter::kDiskRead), sum.disk_reads);
+  EXPECT_EQ(slot(obs::RtCounter::kMasterForward), sum.forwards_accepted);
+  EXPECT_EQ(slot(obs::RtCounter::kHintHit), sum.hint_hits);
+  EXPECT_EQ(slot(obs::RtCounter::kHintStale), sum.hint_stale);
 
   // Peers down first (their shutdown RPCs need home alive), then home.
   clusters[2].reset();

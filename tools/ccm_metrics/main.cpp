@@ -1,145 +1,54 @@
-// ccm_metrics: offline aggregator for the runtime telemetry the cluster
-// drivers dump per process.
+// ccm_metrics: merges the runtime span logs the cluster drivers write per
+// process (ccm_node --runtime-trace-out) into one wall-clock Perfetto trace
+// with cross-process flow arrows (obs::runtime_trace_json). Cluster-wide
+// counters come from the live kStatsPull scrape instead (ccm_node
+// --scrape-out). Usage:
 //
-// Two input shapes, freely mixed on the command line:
-//   *.ccms   binary MetricsSnapshot dumps (ccm_node --metrics-out); merged
-//            with MetricsSnapshot::merge into one cluster-wide snapshot
-//   *.spans  text span logs (ccm_node --runtime-trace-out); concatenated
-//            into one wall-clock Perfetto trace with cross-process flow
-//            arrows (obs::runtime_trace_json)
+//   ccm_metrics --trace-out=PATH FILE...
 //
-// Inputs are sniffed by content (the snapshot magic), not by extension, so
-// shell globs stay simple. Usage:
-//
-//   ccm_metrics [--json-out=PATH] [--trace-out=PATH] FILE...
-//
-// --json-out   merged metrics snapshot as JSON   (default: stdout)
-// --trace-out  merged Perfetto trace JSON        (only with span inputs)
-//
-// Exit codes: 0 ok, 1 I/O or write failure, 2 usage / undecodable input.
-#include <cstddef>
+// Exit codes: 0 ok, 1 I/O or write failure, 2 usage / unparsable input.
 #include <fstream>
 #include <iostream>
-#include <optional>
-#include <set>
+#include <iterator>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/runtime_trace.hpp"
-#include "proto/message.hpp"
 #include "util/cli.hpp"
-#include "util/json.hpp"
 
 using namespace coop;
 
-namespace {
-
-const char* rpc_kind_name(std::uint8_t kind) {
-  if (kind >= proto::kMsgKindCount) return "unknown-kind";
-  return proto::kind_name(static_cast<proto::MsgKind>(kind));
-}
-
-std::optional<std::vector<std::byte>> slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::vector<char> raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  return std::vector<std::byte>(
-      reinterpret_cast<const std::byte*>(raw.data()),
-      reinterpret_cast<const std::byte*>(raw.data() + raw.size()));
-}
-
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  out << text;
-  return static_cast<bool>(out);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  if (flags.positionals().empty()) {
-    std::cerr << "usage: ccm_metrics [--json-out=PATH] [--trace-out=PATH] "
-                 "FILE...\n";
+  const std::string out_path = flags.get("trace-out");
+  if (flags.positionals().empty() || out_path.empty() || out_path == "true") {
+    std::cerr << "usage: ccm_metrics --trace-out=PATH FILE...\n";
     return 2;
   }
 
-  std::optional<obs::MetricsSnapshot> merged;
-  std::set<std::uint32_t> hosts;  // same dedupe rule as the live scrape
   std::vector<obs::RuntimeSpan> spans;
-  std::size_t snapshot_files = 0, span_files = 0;
-
   for (const std::string& path : flags.positionals()) {
-    const auto bytes = slurp(path);
-    if (!bytes) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
       std::cerr << "ccm_metrics: cannot read " << path << "\n";
       return 1;
     }
-    if (auto snap = obs::MetricsSnapshot::decode(*bytes)) {
-      ++snapshot_files;
-      if (!hosts.insert(snap->host).second) continue;
-      if (merged) {
-        merged->merge(*snap);
-      } else {
-        merged = *snap;
-      }
-      continue;
-    }
-    const std::string_view text(reinterpret_cast<const char*>(bytes->data()),
-                                bytes->size());
-    if (obs::parse_span_log(text, spans)) {
-      ++span_files;
-      continue;
-    }
-    std::cerr << "ccm_metrics: " << path
-              << " is neither a metrics snapshot nor a span log\n";
-    return 2;
-  }
-
-  int rc = 0;
-  if (merged) {
-    util::JsonWriter j;
-    j.begin_object();
-    j.key("bench").value("ccm_metrics");
-    j.key("inputs").value(static_cast<std::uint64_t>(snapshot_files));
-    j.key("metrics");
-    obs::metrics_json(j, *merged, &rpc_kind_name);
-    j.end_object();
-    const std::string path = flags.get("json-out");
-    if (path.empty()) {
-      std::cout << j.str() << "\n";
-    } else if (!write_file(path, j.str() + "\n")) {
-      std::cerr << "ccm_metrics: cannot write " << path << "\n";
-      rc = 1;
-    } else {
-      std::cerr << "ccm_metrics: " << merged->processes << " process(es) -> "
-                << path << "\n";
-    }
-  }
-
-  if (flags.has("trace-out")) {
-    if (spans.empty()) {
-      std::cerr << "ccm_metrics: --trace-out needs at least one span-log "
-                   "input\n";
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    if (!obs::parse_span_log(text, spans)) {
+      std::cerr << "ccm_metrics: " << path << " is not a span log\n";
       return 2;
     }
-    const std::string path = flags.get("trace-out");
-    if (!write_file(path, obs::runtime_trace_json(spans))) {
-      std::cerr << "ccm_metrics: cannot write " << path << "\n";
-      rc = 1;
-    } else {
-      std::cerr << "ccm_metrics: " << spans.size() << " span(s) from "
-                << span_files << " log(s) -> " << path << "\n";
-    }
   }
 
-  if (!merged && !flags.has("trace-out")) {
-    std::cerr << "ccm_metrics: no metrics snapshots among the inputs "
-                 "(span logs need --trace-out)\n";
-    return 2;
+  std::ofstream out(out_path);
+  out << obs::runtime_trace_json(spans);
+  if (!out) {
+    std::cerr << "ccm_metrics: cannot write " << out_path << "\n";
+    return 1;
   }
-  return rc;
+  std::cerr << "ccm_metrics: " << spans.size() << " span(s) from "
+            << flags.positionals().size() << " log(s) -> " << out_path << "\n";
+  return 0;
 }
