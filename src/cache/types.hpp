@@ -52,4 +52,16 @@ constexpr std::uint32_t blocks_for(std::uint64_t file_bytes,
                                     block_bytes);
 }
 
+/// Bytes of the `index`-th block of a `file_bytes`-sized file: the tail
+/// block may be short, a zero-byte file's one block holds 0 bytes, and an
+/// index past the end holds 0.
+constexpr std::uint32_t block_bytes(std::uint64_t file_bytes,
+                                    std::uint32_t index,
+                                    std::uint32_t block_bytes) {
+  const std::uint64_t start = static_cast<std::uint64_t>(index) * block_bytes;
+  if (file_bytes <= start) return 0;
+  const std::uint64_t rest = file_bytes - start;
+  return rest < block_bytes ? static_cast<std::uint32_t>(rest) : block_bytes;
+}
+
 }  // namespace coop::cache

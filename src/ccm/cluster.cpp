@@ -309,15 +309,6 @@ void CcmCluster::write(cache::NodeId via, cache::FileId file,
   execute_write(via, file, offset, data);
 }
 
-std::uint32_t CcmCluster::block_bytes_of(std::uint64_t file_bytes,
-                                         std::uint32_t index) const {
-  const std::uint64_t start =
-      static_cast<std::uint64_t>(index) * config_.block_bytes;
-  if (file_bytes <= start) return 0;
-  return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(file_bytes - start, config_.block_bytes));
-}
-
 // ----------------------------------------------------------- protocol ----
 
 CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
@@ -644,19 +635,22 @@ void CcmCluster::make_room_locked(util::UniqueLock<util::CountingMutex>& lock,
     // A master earned its second chance: ship it to a peer. The entry is
     // already erased locally; unregister it in the directory first so no
     // reader chases a block that is in flight.
-    const cache::NodeId to =
-        proto::pick_forward_target(node, config_.nodes, view_);
-    if (to == cache::kInvalidNode) {
-      // Single-node cluster: nowhere to forward; the master is lost.
-      dir_->master_dropped(pf->block, node);
-      ++sh.state.stats().master_drops;
-      sh.store.erase(pf->block);
-      continue;
-    }
     const auto it = sh.store.find(pf->block);
     assert(it != sh.store.end());
     BlockPtr data = std::move(it->second);
     sh.store.erase(it);
+    const cache::NodeId to =
+        proto::pick_forward_target(node, config_.nodes, view_);
+    if (to == cache::kInvalidNode || !data->is_ready()) {
+      // Nowhere to forward (a single-node cluster), or bytes still being
+      // filled: no node sends bytes that are not ready, and the filler may
+      // be this very caller, so waiting could only time out. The master is
+      // lost; the conditional master_dropped unregisters it only if the
+      // directory still names this node.
+      dir_->master_dropped(pf->block, node);
+      ++sh.state.stats().master_drops;
+      continue;
+    }
     const auto epoch = dir_->begin_forward(pf->block, node);
     if (!epoch) {
       // The directory refused: either a write claim overtook this eviction
@@ -1055,7 +1049,8 @@ std::vector<std::byte> CcmCluster::execute_read(cache::NodeId node,
   // Fault in missing blocks from Storage on this thread, outside all
   // locks. Concurrent readers of the same block wait on its ready cv.
   for (auto& [block, data] : to_read) {
-    const std::uint32_t bytes = block_bytes_of(file_bytes, block.index);
+    const std::uint32_t bytes =
+        cache::block_bytes(file_bytes, block.index, config_.block_bytes);
     data->bytes.resize(bytes);
     if (bytes > 0) {
       storage_->read(file,
@@ -1211,7 +1206,8 @@ void CcmCluster::execute_write(cache::NodeId node, cache::FileId file,
 
   // Assemble block contents outside all locks.
   for (auto& pw : pending) {
-    const std::uint32_t bytes = block_bytes_of(file_bytes, pw.block.index);
+    const std::uint32_t bytes =
+        cache::block_bytes(file_bytes, pw.block.index, config_.block_bytes);
     const std::uint64_t block_start =
         static_cast<std::uint64_t>(pw.block.index) * config_.block_bytes;
     auto& out = pw.new_data->bytes;

@@ -458,9 +458,6 @@ class CcmCluster {
   std::size_t audit_all_locked(const char* context) const
       NO_THREAD_SAFETY_ANALYSIS;
 
-  [[nodiscard]] std::uint32_t block_bytes_of(std::uint64_t file_bytes,
-                                             std::uint32_t index) const;
-
   CcmConfig config_;
   std::shared_ptr<Storage> storage_;
   /// storage_ as a WritableStorage; null when it is read-only.

@@ -14,6 +14,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "net/frame.hpp"
+
 namespace coop::net {
 
 namespace {
@@ -21,6 +23,10 @@ namespace {
 /// Envelopes coalesced into one write syscall at most (bounds the latency a
 /// huge backlog can add to the first message of a flush).
 constexpr std::size_t kMaxBatch = 64;
+
+/// Outbox backpressure deadline (Mailbox::send_for): a peer whose outbox
+/// stays full this long is dropped as stalled.
+constexpr std::chrono::seconds kSendTimeout{10};
 
 void close_fd(int& fd) {
   if (fd >= 0) {
@@ -78,7 +84,6 @@ bool writev_all(int fd, iovec* iov, std::size_t iovcnt) {
 
 TcpTransport::TcpTransport(const TcpConfig& config)
     : config_(config),
-      inbound_(config.outbox_capacity, "net.tcp.inbound"),
       peer_age_(config.nodes),
       peer_full_(config.nodes) {
   if (config_.nodes == 0 || config_.local_node >= config_.nodes) {
@@ -155,7 +160,7 @@ void TcpTransport::adopt_connection(int fd, cache::NodeId peer) {
     ::close(fd);  // duplicate live connection, or shutting down
     return;
   }
-  auto conn = std::make_unique<Connection>(config_.outbox_capacity, peer);
+  auto conn = std::make_unique<Connection>(peer);
   conn->fd = fd;
   conn->alive.store(true, std::memory_order_release);
   Connection* raw = conn.get();
@@ -235,7 +240,7 @@ void TcpTransport::accept_loop() {
 }
 
 void TcpTransport::reader_loop(Connection& conn) {
-  FrameReader reader(config_.max_frame_bytes);
+  FrameReader reader;
   std::vector<std::byte> buf(64 * 1024);
   while (true) {
     const ssize_t n = ::recv(conn.fd, buf.data(), buf.size(), 0);
@@ -268,57 +273,23 @@ void TcpTransport::reader_loop(Connection& conn) {
   }
 }
 
-void TcpTransport::route_incoming(Envelope env) {
+bool TcpTransport::route_incoming(Envelope env) {
   if (proto::is_reply(env.msg.kind) && env.seq != 0) {
-    std::shared_ptr<PendingCall> pending;
-    {
-      util::ScopedLock lock(mu_);
-      const auto it = pending_.find(env.seq);
-      if (it == pending_.end()) return;  // caller gave up / duplicate
-      pending = it->second;
-      pending_.erase(it);
-      pending->reply = std::move(env);
-      pending->done = true;
-    }
-    pending->cv.notify_all();
-    return;
+    (void)pending_.complete(std::move(env));  // false: caller gave up
+    return true;
   }
   // Blocking send: a full inbound queue backpressures this connection's
   // reader (and, through TCP flow control, the remote sender).
-  inbound_.send(std::move(env));
+  return inbound_.send(std::move(env));
 }
 
 void TcpTransport::writer_loop(Connection& conn) {
-  // Envelopes whose payload latch is still closed. The writer must NEVER
-  // block in wait_ready(): the producer filling the buffer can be a storage
-  // RPC queued *behind* the envelope on this very connection (a peer serves
-  // a remote read from a block it is still faulting in from home), so a
-  // blocking wait wedges the connection against its own fill traffic.
-  // Unready envelopes are parked here and retried; everything else flows
-  // past them. Reordering is safe: replies correlate by seq, and requests
-  // from concurrent threads carry no cross-message ordering guarantees.
-  std::deque<Envelope> deferred;
-  constexpr auto kDeferredPoll = std::chrono::milliseconds(1);
-  while (true) {
-    std::optional<Envelope> first =
-        deferred.empty() ? conn.outbox.receive()
-                         : conn.outbox.receive_for(kDeferredPoll);
-    if (!first && deferred.empty()) return;  // closed and fully drained
-    if (!first && conn.outbox.closed()) {
-      // Shutdown with payloads still unready: their producers may be gone;
-      // abandoning them here is the same as the connection dying mid-send.
-      return;
-    }
+  // post() admits only ready payloads, so every envelope is sendable the
+  // moment it is dequeued; receive() returns nullopt once the outbox is
+  // closed and drained.
+  while (std::optional<Envelope> first = conn.outbox.receive()) {
     std::vector<Envelope> batch;
-    for (auto it = deferred.begin(); it != deferred.end();) {
-      if (it->data && !it->data->is_ready()) {
-        ++it;
-      } else {
-        batch.push_back(std::move(*it));
-        it = deferred.erase(it);
-      }
-    }
-    if (first) batch.push_back(std::move(*first));
+    batch.push_back(std::move(*first));
     while (batch.size() < kMaxBatch) {
       auto more = conn.outbox.try_receive();
       if (!more) break;
@@ -330,24 +301,14 @@ void TcpTransport::writer_loop(Connection& conn) {
     // Scatter-gather framing: one fixed header buffer per envelope plus an
     // iovec pointing straight into the shared BlockData payload buffer.
     // Payload bytes never copy through an intermediate frame buffer
-    // (TransportStats::payload_copies stays 0 — CI-asserted); `sendable`
-    // keeps each BlockPtr alive until the writev completes.
-    std::vector<Envelope> sendable;
-    sendable.reserve(batch.size());
-    for (auto& env : batch) {
-      if (env.data && !env.data->is_ready()) {
-        deferred.push_back(std::move(env));
-        continue;
-      }
-      sendable.push_back(std::move(env));
-    }
-    if (sendable.empty()) continue;
+    // (TransportStats::payload_copies stays 0 — CI-asserted); `batch` keeps
+    // each BlockPtr alive until the writev completes.
     std::vector<FrameHeaderBytes> headers;
-    headers.reserve(sendable.size());  // reserve: iovecs alias the elements
+    headers.reserve(batch.size());  // reserve: iovecs alias the elements
     std::vector<iovec> iov;
-    iov.reserve(sendable.size() * 2);
+    iov.reserve(batch.size() * 2);
     std::size_t total = 0;
-    for (const Envelope& env : sendable) {
+    for (const Envelope& env : batch) {
       headers.push_back(encode_frame_header(env, age, full));
       iov.push_back({headers.back().data(), headers.back().size()});
       total += headers.back().size();
@@ -379,84 +340,41 @@ void TcpTransport::drop_connection(cache::NodeId peer, bool frame_error) {
     ::shutdown(conn->fd, SHUT_RDWR);  // unblocks the reader
     conn->outbox.close();             // unblocks the writer
   }
-  fail_pending(peer);
-}
-
-void TcpTransport::fail_pending(cache::NodeId peer) {
-  std::vector<std::shared_ptr<PendingCall>> failed;
-  {
-    util::ScopedLock lock(mu_);
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (peer == cache::kInvalidNode || it->second->dest == peer) {
-        it->second->failed = true;
-        it->second->done = true;
-        failed.push_back(it->second);
-        it = pending_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (auto& p : failed) p->cv.notify_all();
+  pending_.fail(peer);
 }
 
 Envelope TcpTransport::call_impl(Envelope env) {
-  auto pending = std::make_shared<PendingCall>();
-  pending->dest = env.msg.to;
-  {
-    util::ScopedLock lock(mu_);
+  pending_.open(env);
+  const std::uint64_t seq = env.seq;
+  const cache::NodeId dest = env.msg.to;
+  if (!post(std::move(env))) {
+    pending_.cancel(seq);
     if (closed_) {
       throw TransportError(TransportError::Kind::kShutdown,
                            "transport is shut down");
     }
-    env.seq = next_seq_++;
-    pending_.emplace(env.seq, pending);
-  }
-  const std::uint64_t seq = env.seq;
-  if (!post(std::move(env))) {
-    bool was_closed = false;
-    {
-      util::ScopedLock lock(mu_);
-      pending_.erase(seq);
-      was_closed = closed_;
-    }
-    if (was_closed) {
-      throw TransportError(TransportError::Kind::kShutdown,
-                           "transport is shut down");
-    }
     throw TransportError(TransportError::Kind::kPeerDown,
-                         "peer " + std::to_string(pending->dest) +
-                             " is unreachable");
+                         "peer " + std::to_string(dest) + " is unreachable");
   }
-  const auto deadline =
-      std::chrono::steady_clock::now() + config_.call_timeout;
-  util::UniqueLock lock(mu_);
-  while (!pending->done) {
-    if (pending->cv.wait_until(lock, deadline) == std::cv_status::timeout &&
-        !pending->done) {
-      pending_.erase(seq);
-      ++stats_.rpc_timeouts;
-      throw TransportError(TransportError::Kind::kTimeout,
-                           "call to peer " + std::to_string(pending->dest) +
-                               " timed out after " +
-                               std::to_string(config_.call_timeout.count()) +
-                               " ms");
-    }
-  }
-  if (pending->failed) {
-    throw TransportError(TransportError::Kind::kPeerDown,
-                         "peer " + std::to_string(pending->dest) +
-                             " dropped while a call was pending");
-  }
-  ++stats_.rpcs;
-  return std::move(pending->reply);
+  return pending_.wait(seq, config_.call_timeout);
 }
 
 bool TcpTransport::post(Envelope env) {
   if (env.msg.to >= config_.nodes) {
     throw std::invalid_argument("TcpTransport: bad destination node");
   }
-  if (env.msg.to == config_.local_node) return deliver_local(std::move(env));
+  if (env.data && !env.data->is_ready()) {
+    throw std::invalid_argument("TcpTransport: payload is not ready");
+  }
+  if (env.msg.to == config_.local_node) {
+    {
+      util::ScopedLock lock(mu_);
+      if (closed_) return false;
+      ++stats_.sent;
+      ++stats_.received;
+    }
+    return route_incoming(std::move(env));
+  }
   Connection* conn = nullptr;
   {
     util::ScopedLock lock(mu_);
@@ -468,27 +386,13 @@ bool TcpTransport::post(Envelope env) {
     ++stats_.sent;
   }
   const cache::NodeId to = env.msg.to;
-  if (!conn->outbox.send_for(std::move(env), config_.send_timeout)) {
+  if (!conn->outbox.send_for(std::move(env), kSendTimeout)) {
     // Stalled past the deadline (or already closing): treat the peer as
     // dead rather than wedging this sender forever.
     drop_connection(to, /*frame_error=*/false);
     return false;
   }
   return true;
-}
-
-bool TcpTransport::deliver_local(Envelope env) {
-  {
-    util::ScopedLock lock(mu_);
-    if (closed_) return false;
-    ++stats_.sent;
-    ++stats_.received;
-  }
-  if (proto::is_reply(env.msg.kind) && env.seq != 0) {
-    route_incoming(std::move(env));
-    return true;
-  }
-  return inbound_.send(std::move(env));
 }
 
 std::optional<Envelope> TcpTransport::receive(cache::NodeId node) {
@@ -500,6 +404,7 @@ std::optional<Envelope> TcpTransport::receive(cache::NodeId node) {
 
 void TcpTransport::close() {
   if (closed_.exchange(true)) return;
+  pending_.close();
   inbound_.close();
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
@@ -524,12 +429,17 @@ void TcpTransport::close() {
     close_fd(conn->fd);
   }
   close_fd(listen_fd_);
-  fail_pending(cache::kInvalidNode);
 }
 
 TransportStats TcpTransport::stats() const {
-  util::ScopedLock lock(mu_);
-  return stats_;
+  TransportStats s;
+  {
+    util::ScopedLock lock(mu_);
+    s = stats_;
+  }
+  s.rpcs = pending_.completed();
+  s.rpc_timeouts = pending_.timeouts();
+  return s;
 }
 
 std::uint64_t TcpTransport::peer_oldest_age(cache::NodeId n) const {

@@ -11,33 +11,36 @@
 // pending call()s, requests land in the inbound mailbox the protocol thread
 // drains) and a writer draining a bounded outbox. The writer batches: it
 // sleeps until the outbox is non-empty, then drains everything queued into
-// ONE buffer and one write syscall — control messages that arrive while a
+// one scatter-gather write syscall — control messages that arrive while a
 // flush is in flight coalesce into the next one, amortizing syscalls under
 // load without adding idle latency. Outbox enqueues use the deadline-bounded
 // Mailbox::send_for as backpressure: a peer that stays stalled past the
 // deadline is dropped rather than wedging the sender.
 //
+// Only ready bytes are sent: post() refuses an envelope whose payload latch
+// is still closed, so everything in an outbox can be written the moment the
+// writer reaches it, and nothing on a connection waits on a producer.
+//
 // Failure model: a malformed frame, a mid-frame EOF, or a stalled outbox
 // drops that connection; RPCs pending against the dead peer fail promptly
 // with TransportError (kPeerDown, or kTimeout if the peer simply never
-// answers within call_timeout), everything else keeps flowing. A peer that
-// re-dials after its connection died is adopted back in: adopt_connection
-// reaps the dead connection's threads and installs the new socket, which is
-// what lets a crashed node rejoin a live mesh.
+// answers within call_timeout), everything else keeps flowing; close()
+// fails every pending call with kShutdown. A peer that re-dials after its
+// connection died is adopted back in: adopt_connection reaps the dead
+// connection's threads and installs the new socket, which is what lets a
+// crashed node rejoin a live mesh.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "net/frame.hpp"
 #include "net/transport.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -55,11 +58,7 @@ struct TcpConfig {
   std::size_t nodes = 1;
   /// Listening port; 0 binds an ephemeral port (see listen_port()).
   std::uint16_t listen_port = 0;
-  std::size_t max_frame_bytes = kDefaultMaxFrame;
-  std::size_t outbox_capacity = 1024;
   std::chrono::milliseconds connect_timeout{20000};
-  /// Outbox backpressure deadline (Mailbox::send_for).
-  std::chrono::milliseconds send_timeout{10000};
   /// call() reply deadline: a call against a peer that stays silent fails
   /// with TransportError::kTimeout instead of blocking forever.
   std::chrono::milliseconds call_timeout{30000};
@@ -88,6 +87,8 @@ class TcpTransport final : public Transport {
   void set_summary_source(
       std::function<std::pair<std::uint64_t, bool>()> source);
 
+  /// One-way delivery. Throws std::invalid_argument for a bad destination
+  /// or a payload that is not ready yet.
   bool post(Envelope env) override;
   std::optional<Envelope> receive(cache::NodeId node) override;
   void close() override;
@@ -108,26 +109,14 @@ class TcpTransport final : public Transport {
     // read afterwards; alive is the atomic liveness flag.
     int fd = -1;
     cache::NodeId peer = cache::kInvalidNode;
-    ccm::Mailbox<Envelope> outbox;
+    Mailbox<Envelope> outbox;
     std::thread reader;
     std::thread writer;
     std::atomic<bool> alive{false};
 
-    Connection(std::size_t outbox_capacity, cache::NodeId peer_id)
+    explicit Connection(cache::NodeId peer_id)
         : peer(peer_id),
-          outbox(outbox_capacity,
-                 "net.tcp.outbox[" + std::to_string(peer_id) + "]") {}
-  };
-
-  struct PendingCall {
-    std::condition_variable_any cv;
-    // done/failed/reply are written and read under the owning transport's
-    // mu_ (inexpressible as GUARDED_BY from a nested struct); dest is set
-    // once before the call is registered.
-    bool done = false;
-    bool failed = false;
-    cache::NodeId dest = cache::kInvalidNode;
-    Envelope reply;
+          outbox("net.tcp.outbox[" + std::to_string(peer_id) + "]") {}
   };
 
   void accept_loop();
@@ -138,11 +127,9 @@ class TcpTransport final : public Transport {
   std::optional<cache::NodeId> handshake(int fd);
   void adopt_connection(int fd, cache::NodeId peer);
   void drop_connection(cache::NodeId peer, bool frame_error);
-  /// Fails every pending call addressed to `peer` (all peers when
-  /// kInvalidNode).
-  void fail_pending(cache::NodeId peer);
-  bool deliver_local(Envelope env);
-  void route_incoming(Envelope env);
+  /// Completes a call with a reply, or queues a request for the protocol
+  /// thread; false when the inbound queue is closed.
+  bool route_incoming(Envelope env);
 
   TcpConfig config_;
   int listen_fd_ = -1;
@@ -150,19 +137,17 @@ class TcpTransport final : public Transport {
   std::thread accept_thread_;
   std::atomic<bool> closed_{false};
 
-  ccm::Mailbox<Envelope> inbound_;
+  Mailbox<Envelope> inbound_{"net.tcp.inbound"};
+  PendingCalls pending_{"net.tcp.pending"};
   std::function<std::pair<std::uint64_t, bool>()> summary_;
 
-  // Connections table, pending calls, counters. Ordered after the shard
-  // locks (a protocol thread RPCs through here with its shard held) and
-  // before the outbox mailbox locks; never held across a blocking send,
-  // a join, or a syscall.
+  // Connections table and delivery counters (the call counts live in
+  // pending_). Ordered after the shard locks (a protocol thread RPCs
+  // through here with its shard held) and before the outbox mailbox locks;
+  // never held across a blocking send, a join, or a syscall.
   mutable util::Mutex mu_{"net.tcp.state"};
   std::vector<std::unique_ptr<Connection>> conns_
       GUARDED_BY(mu_);  // indexed by node id
-  std::uint64_t next_seq_ GUARDED_BY(mu_) = 1;
-  std::map<std::uint64_t, std::shared_ptr<PendingCall>> pending_
-      GUARDED_BY(mu_);
   TransportStats stats_ GUARDED_BY(mu_);
 
   /// Piggybacked peer summaries, refreshed on every received frame.

@@ -66,12 +66,6 @@ struct PlanContext {
   std::function<std::uint64_t(FileId)> file_bytes_of;
 };
 
-/// Bytes of the `index`-th block of a `file_bytes`-sized file (the tail
-/// block may be short; a zero-byte file still has one zero-byte block).
-std::uint32_t block_payload_bytes(std::uint64_t file_bytes,
-                                  std::uint32_t index,
-                                  std::uint32_t block_bytes);
-
 /// Lowers `plan` (the policy actions of one access by `requester`) into
 /// grouped transfers and their wire messages.
 TransferPlan build_transfer_plan(NodeId requester,

@@ -54,16 +54,6 @@ CcmServer::CcmServer(sim::Engine& engine, hw::Network& network,
   assert(cache_config.block_bytes == params.block_bytes);
 }
 
-std::uint32_t CcmServer::block_bytes_of(std::uint64_t file_bytes,
-                                        std::uint32_t index) const {
-  const std::uint64_t start =
-      static_cast<std::uint64_t>(index) * params_.block_bytes;
-  if (file_bytes <= start) return 0;  // zero-byte file's single block
-  const std::uint64_t remain = file_bytes - start;
-  return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(remain, params_.block_bytes));
-}
-
 void CcmServer::handle(NodeId node, trace::FileId file, const RequestInfo& req,
                        sim::Callback on_served) {
   hw::Node& self = *nodes_[node];
@@ -315,14 +305,16 @@ void CcmServer::execute_plan(NodeId node, cache::AccessResult plan,
         const std::uint32_t nb = cache::blocks_for(fb, params_.block_bytes);
         seq.reserve(nb);
         for (std::uint32_t i = 0; i < nb; ++i) {
-          seq.push_back(hw::BlockRead{(*blocks)[0].file, i,
-                                      block_bytes_of(fb, i)});
+          seq.push_back(hw::BlockRead{
+              (*blocks)[0].file, i,
+              cache::block_bytes(fb, i, params_.block_bytes)});
         }
       } else {
         seq.reserve(blocks->size());
         for (const auto& b : *blocks) {
-          seq.push_back(
-              hw::BlockRead{b.file, b.index, block_bytes_of(fb, b.index)});
+          seq.push_back(hw::BlockRead{
+              b.file, b.index,
+              cache::block_bytes(fb, b.index, params_.block_bytes)});
         }
       }
       hw::read_sequence(reader.disk(), std::move(seq), std::move(after_reads));

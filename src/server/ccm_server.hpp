@@ -74,10 +74,6 @@ class CcmServer final : public Server {
                           const std::vector<proto::Message>* msgs,
                           std::size_t i, sim::Callback done);
 
-  /// Bytes of block `index` of a file `file_bytes` long.
-  [[nodiscard]] std::uint32_t block_bytes_of(std::uint64_t file_bytes,
-                                             std::uint32_t index) const;
-
   sim::Engine& engine_;
   hw::Network& network_;
   std::vector<std::unique_ptr<hw::Node>>& nodes_;

@@ -20,6 +20,13 @@ TEST(Types, BlocksFor) {
   EXPECT_EQ(blocks_for(65536, 8192), 8u);
 }
 
+TEST(Types, BlockBytesHandlesTailsAndEmptyFiles) {
+  EXPECT_EQ(block_bytes(0, 0, 8192), 0u);  // zero-byte file
+  EXPECT_EQ(block_bytes(8192, 0, 8192), 8192u);
+  EXPECT_EQ(block_bytes(8192 + 100, 1, 8192), 100u);
+  EXPECT_EQ(block_bytes(8192 + 100, 5, 8192), 0u);  // past end
+}
+
 TEST(Types, BlockIdOrderingAndEquality) {
   const BlockId a{1, 0}, b{1, 1}, c{2, 0};
   EXPECT_LT(a, b);

@@ -17,7 +17,6 @@
 #include "cache/coop_cache.hpp"
 #include "ccm/cluster.hpp"
 #include "ccm/storage.hpp"
-#include "ccm/transport.hpp"
 #include "net/fault.hpp"
 #include "sim/random.hpp"
 
@@ -49,54 +48,6 @@ bool matches_storage(const std::vector<std::byte>& got, cache::FileId file,
     if (got[i] != MemStorage::content_at(file, offset + i)) return false;
   }
   return true;
-}
-
-// -------------------------------------------------------------- Mailbox ---
-
-TEST(Mailbox, SendReceiveOrder) {
-  Mailbox<int> mb;
-  mb.send(1);
-  mb.send(2);
-  EXPECT_EQ(mb.size(), 2u);
-  EXPECT_EQ(mb.receive().value(), 1);
-  EXPECT_EQ(mb.try_receive().value(), 2);
-  EXPECT_FALSE(mb.try_receive().has_value());
-}
-
-TEST(Mailbox, CloseDrainsThenEnds) {
-  Mailbox<int> mb;
-  mb.send(7);
-  mb.close();
-  EXPECT_FALSE(mb.send(8));
-  EXPECT_EQ(mb.receive().value(), 7);
-  EXPECT_FALSE(mb.receive().has_value());
-}
-
-TEST(Mailbox, CrossThreadHandoff) {
-  Mailbox<int> mb(4);
-  std::atomic<int> sum{0};
-  std::thread consumer([&] {
-    while (auto v = mb.receive()) sum += *v;
-  });
-  for (int i = 1; i <= 100; ++i) mb.send(i);
-  mb.close();
-  consumer.join();
-  EXPECT_EQ(sum.load(), 5050);
-}
-
-TEST(Mailbox, BoundedCapacityBlocksProducer) {
-  Mailbox<int> mb(1);
-  mb.send(1);
-  std::atomic<bool> second_sent{false};
-  std::thread producer([&] {
-    mb.send(2);
-    second_sent = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(second_sent.load());
-  EXPECT_EQ(mb.receive().value(), 1);
-  producer.join();
-  EXPECT_TRUE(second_sent.load());
 }
 
 // -------------------------------------------------------------- Storage ---

@@ -3,6 +3,7 @@
 // cross-node invariants after every access.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "cache/coop_cache.hpp"
@@ -611,6 +612,13 @@ struct SweepParam {
   Policy policy;
   DirectoryMode dir;
 };
+
+// ctest names each case after this text instead of a raw byte dump.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << p.nodes << "nodes-" << p.blocks << "blocks/"
+      << (p.policy == Policy::kBasic ? "CC-Basic" : "CC-NEM") << '/'
+      << (p.dir == DirectoryMode::kPerfect ? "perfect" : "hinted");
+}
 
 class CoopCacheSweep : public testing::TestWithParam<SweepParam> {};
 

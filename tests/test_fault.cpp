@@ -285,7 +285,7 @@ TEST(FaultyTransport, RetryGivesUpAfterBudgetAndCountsFailure) {
 TEST(InProcTransport, CallTimesOutInsteadOfHangingForever) {
   // Serve node 1 with a sink that never answers: the call must fail on its
   // deadline, not block — the "no call may hang on a dead peer" guarantee.
-  net::InProcTransport t(2, 16, /*call_timeout=*/50ms);
+  net::InProcTransport t(2, /*call_timeout=*/50ms);
   std::thread sink([&t] {
     while (t.receive(1).has_value()) {
     }

@@ -213,13 +213,6 @@ TEST(DirBatchCodec, ReplyDecodeIsStrict) {
 
 // ---------------------------------------------------------- plan lowering ---
 
-TEST(PlanLowering, BlockPayloadBytesHandlesTailsAndEmptyFiles) {
-  EXPECT_EQ(block_payload_bytes(0, 0, kBlock), 0u);          // zero-byte file
-  EXPECT_EQ(block_payload_bytes(kBlock, 0, kBlock), kBlock);
-  EXPECT_EQ(block_payload_bytes(kBlock + 100, 1, kBlock), 100u);
-  EXPECT_EQ(block_payload_bytes(kBlock + 100, 5, kBlock), 0u);  // past end
-}
-
 cache::AccessResult mixed_plan() {
   cache::AccessResult plan;
   plan.fetches = {

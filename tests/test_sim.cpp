@@ -405,9 +405,11 @@ TEST(EngineFuzz, RandomScheduleAndCancelIsDeterministic) {
 TEST(EngineFuzz, NestedChainsInterleaveStably) {
   Engine e;
   std::vector<int> order;
+  // Each chain re-schedules itself through its slot here, which outlives
+  // the run: a closure holding a shared_ptr to itself would never be freed.
+  std::vector<std::function<void()>> steps(4);
   for (int chain = 0; chain < 4; ++chain) {
-    std::shared_ptr<std::function<void()>> step =
-        std::make_shared<std::function<void()>>();
+    std::function<void()>* step = &steps[static_cast<std::size_t>(chain)];
     *step = [&e, &order, chain, step, n = std::make_shared<int>(0)]() {
       order.push_back(chain);
       if (++*n < 25) e.schedule_in(1.0, *step);
