@@ -5,11 +5,11 @@
 // The payload is a shared latch-guarded buffer (BlockData): inside one
 // process both ends of a transfer share the same bytes (a peer-fetch reply
 // hands the requester the master's buffer, a promotion shares it outright);
-// across the wire the TCP transport defers the envelope until the latch
-// opens, then scatter-gathers {frame header, payload} straight from this
-// buffer — the bytes are never copied into an intermediate frame. That
-// asymmetry is the whole point of the seam — the runtime never knows which
-// it got.
+// across the wire the TCP writer scatter-gathers {frame header, payload}
+// straight from this buffer — the bytes are never copied into an
+// intermediate frame. That asymmetry is the whole point of the seam — the
+// runtime never knows which it got. Either way only a ready buffer is sent:
+// no node ships bytes whose latch is still closed.
 #pragma once
 
 #include <condition_variable>
@@ -42,11 +42,11 @@ struct BlockData {
     cv.wait(lock, [this] { return ready; });
   }
 
-  /// Non-blocking readiness probe. The socket transport's writers must
-  /// never wait on the latch: the producer filling the buffer may be a
-  /// storage RPC queued *behind* this envelope on the same connection, so a
-  /// blocking wait here deadlocks the connection. Unready envelopes are
-  /// deferred instead (TcpTransport::writer_loop).
+  /// Non-blocking readiness probe. A sender checks it before shipping the
+  /// buffer and keeps an unready one (a peer fetch misses, an evicted
+  /// master is dropped); TcpTransport::post rejects one outright. Waiting
+  /// instead could deadlock: the producer may be the waiting thread itself,
+  /// or a storage RPC queued behind this envelope on the same connection.
   [[nodiscard]] bool is_ready() {
     std::scoped_lock lock(m);
     return ready;

@@ -80,7 +80,7 @@ using FrameHeaderBytes = std::array<std::byte, 4 + kFrameFixedSize>;
 /// gather writer (TcpTransport::writer_loop) pairs this with an iovec
 /// pointing straight into the shared env.data->bytes buffer, so payloads
 /// never copy through an intermediate frame buffer. env.data, if present,
-/// must already be ready (the writer defers unready envelopes).
+/// must already be ready (TcpTransport::post admits no other).
 FrameHeaderBytes encode_frame_header(const Envelope& env,
                                      std::uint64_t sender_age,
                                      bool sender_full);
