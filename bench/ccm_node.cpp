@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
             << s.writes << "\n"
             << "  transport: rpcs " << ts.rpcs << ", frames sent " << ts.sent
             << " in " << ts.flushes << " flushes ("
-            << util::fixed(batching, 2) << " msgs/syscall), bytes tx "
+            << util::fixed(batching, 2) << " msgs/flush), bytes tx "
             << ts.bytes_sent << " rx " << ts.bytes_received
             << ", frame errors " << ts.frame_errors << ", payload copies "
             << ts.payload_copies << "\n"

@@ -5,7 +5,7 @@
 // The payload is a shared latch-guarded buffer (BlockData): inside one
 // process both ends of a transfer share the same bytes (a peer-fetch reply
 // hands the requester the master's buffer, a promotion shares it outright);
-// across the wire the TCP writer scatter-gathers {frame header, payload}
+// across the wire the sending thread scatter-gathers {frame header, payload}
 // straight from this buffer — the bytes are never copied into an
 // intermediate frame. That asymmetry is the whole point of the seam — the
 // runtime never knows which it got. Either way only a ready buffer is sent:

@@ -76,17 +76,17 @@ std::optional<cache::NodeId> decode_handshake(
 using FrameHeaderBytes = std::array<std::byte, 4 + kFrameFixedSize>;
 
 /// Encodes one envelope's frame header — length prefix, sender summary, seq,
-/// epoch, message, payload_len — WITHOUT the payload bytes. The scatter-
-/// gather writer (TcpTransport::writer_loop) pairs this with an iovec
-/// pointing straight into the shared env.data->bytes buffer, so payloads
-/// never copy through an intermediate frame buffer. env.data, if present,
-/// must already be ready (TcpTransport::post admits no other).
+/// epoch, message, payload_len — WITHOUT the payload bytes. TcpTransport::post
+/// sends this with a second iovec pointing straight into the shared
+/// env.data->bytes buffer, so payloads never copy through an intermediate
+/// frame buffer. env.data, if present, must already be ready
+/// (TcpTransport::post admits no other).
 FrameHeaderBytes encode_frame_header(const Envelope& env,
                                      std::uint64_t sender_age,
                                      bool sender_full);
 
 /// Encodes one whole frame, payload copied in after the header (tests and
-/// non-vectored paths; the TCP writer uses encode_frame_header instead).
+/// non-vectored paths; TcpTransport::post uses encode_frame_header instead).
 std::vector<std::byte> encode_frame(const Envelope& env,
                                     std::uint64_t sender_age,
                                     bool sender_full);

@@ -1,7 +1,6 @@
 // Intra-process message queue: a bounded MPMC mailbox. The transports use it
 // to hand envelopes to protocol threads (InProcTransport's queued path, and
-// TcpTransport's inbound queue) and to socket writer threads (TcpTransport's
-// per-peer outboxes).
+// TcpTransport's inbound queue, which its socket readers fill).
 //
 // The queue state is guarded by an annotated util::Mutex (thread-safety
 // analysis + lock-order watchdog); waits go through condition_variable_any
@@ -10,7 +9,6 @@
 // no callout ever happens while it is held.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -47,37 +45,6 @@ class Mailbox {
     util::UniqueLock lock(mu_);
     while (!closed_ && queue_.empty()) not_empty_.wait(lock);
     if (queue_.empty()) return std::nullopt;  // closed and drained
-    T msg = std::move(queue_.front());
-    queue_.pop_front();
-    not_full_.notify_one();
-    return msg;
-  }
-
-  /// Deadline-bounded send: waits up to `timeout` for room. False on timeout
-  /// or close (the message is dropped). This is the backpressure primitive
-  /// the socket transport uses — a peer whose outbox stays full past the
-  /// deadline is treated as stalled and its connection is dropped, rather
-  /// than wedging the sender forever.
-  template <typename Rep, typename Period>
-  bool send_for(T message, std::chrono::duration<Rep, Period> timeout) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    util::UniqueLock lock(mu_);
-    while (!closed_ && queue_.size() >= capacity_) {
-      if (not_full_.wait_until(lock, deadline) == std::cv_status::timeout &&
-          (closed_ || queue_.size() >= capacity_)) {
-        return false;  // still full at the deadline
-      }
-    }
-    if (closed_) return false;
-    queue_.push_back(std::move(message));
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking receive; nullopt if empty (whether or not closed).
-  std::optional<T> try_receive() {
-    util::ScopedLock lock(mu_);
-    if (queue_.empty()) return std::nullopt;
     T msg = std::move(queue_.front());
     queue_.pop_front();
     not_full_.notify_one();

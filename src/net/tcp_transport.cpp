@@ -1,7 +1,6 @@
 #include "net/tcp_transport.hpp"
 
 #include <arpa/inet.h>
-#include <limits.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -9,9 +8,10 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cstring>
+#include <array>
+#include <cerrno>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "net/frame.hpp"
@@ -20,12 +20,8 @@ namespace coop::net {
 
 namespace {
 
-/// Envelopes coalesced into one write syscall at most (bounds the latency a
-/// huge backlog can add to the first message of a flush).
-constexpr std::size_t kMaxBatch = 64;
-
-/// Outbox backpressure deadline (Mailbox::send_for): a peer whose outbox
-/// stays full this long is dropped as stalled.
+/// Send deadline: a connection whose socket has not taken a whole frame
+/// this long is dropped as stalled.
 constexpr std::chrono::seconds kSendTimeout{10};
 
 void close_fd(int& fd) {
@@ -46,35 +42,38 @@ bool read_exact(int fd, std::byte* out, std::size_t len) {
   return true;
 }
 
-/// Writes all of `buf`; false on error (peer gone).
-bool write_all(int fd, const std::byte* buf, std::size_t len) {
-  std::size_t put = 0;
-  while (put < len) {
-    const ssize_t n = ::send(fd, buf + put, len - put, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    put += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Writes every iovec fully, advancing across partial writes; false on
-/// error (peer gone). Mutates the iovec array as it advances.
-bool writev_all(int fd, iovec* iov, std::size_t iovcnt) {
+/// Writes every iovec fully within kSendTimeout, advancing across partial
+/// writes; false on error (peer gone) or once the deadline passes with bytes
+/// left (peer stalled). Each sendmsg is nonblocking and the waits between
+/// them share one deadline, so the bound covers the whole frame. Mutates the
+/// iovec array as it advances.
+bool send_all(int fd, iovec* iov, std::size_t iovcnt) {
+  const auto deadline = std::chrono::steady_clock::now() + kSendTimeout;
   std::size_t idx = 0;
   while (idx < iovcnt) {
     msghdr msg{};
     msg.msg_iov = iov + idx;
-    msg.msg_iovlen = std::min(iovcnt - idx, static_cast<std::size_t>(IOV_MAX));
-    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    msg.msg_iovlen = iovcnt - idx;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      pollfd pfd{fd, POLLOUT, 0};
+      if (left.count() <= 0 ||
+          ::poll(&pfd, 1, static_cast<int>(left.count())) == 0) {
+        return false;  // the deadline passed with bytes left
+      }
+      continue;  // the next sendmsg reports whatever woke the poll
+    }
     if (n <= 0) return false;
-    std::size_t left = static_cast<std::size_t>(n);
-    while (idx < iovcnt && left >= iov[idx].iov_len) {
-      left -= iov[idx].iov_len;
+    std::size_t put = static_cast<std::size_t>(n);
+    while (idx < iovcnt && put >= iov[idx].iov_len) {
+      put -= iov[idx].iov_len;
       ++idx;
     }
-    if (idx < iovcnt && left > 0) {
-      iov[idx].iov_base = static_cast<std::byte*>(iov[idx].iov_base) + left;
-      iov[idx].iov_len -= left;
+    if (idx < iovcnt && put > 0) {
+      iov[idx].iov_base = static_cast<std::byte*>(iov[idx].iov_base) + put;
+      iov[idx].iov_len -= put;
     }
   }
   return true;
@@ -117,16 +116,25 @@ TcpTransport::TcpTransport(const TcpConfig& config)
 
 TcpTransport::~TcpTransport() { close(); }
 
+TcpTransport::Connection::~Connection() { ::close(fd); }
+
 void TcpTransport::set_summary_source(
     std::function<std::pair<std::uint64_t, bool>()> source) {
+  // mu_ serialises installers; senders never take it to read the source.
+  util::ScopedLock lock(mu_);
+  if (summary_set_.load(std::memory_order_relaxed)) {
+    throw std::logic_error("TcpTransport: summary source already installed");
+  }
   summary_ = std::move(source);
+  summary_set_.store(true, std::memory_order_release);
 }
 
 std::optional<cache::NodeId> TcpTransport::handshake(int fd) {
   // Symmetric: both sides send first, then read (8 bytes — never fills the
   // socket buffer, so simultaneous sends cannot deadlock).
-  const std::vector<std::byte> ours = encode_handshake(config_.local_node);
-  if (!write_all(fd, ours.data(), ours.size())) return std::nullopt;
+  std::vector<std::byte> ours = encode_handshake(config_.local_node);
+  iovec iov{ours.data(), ours.size()};
+  if (!send_all(fd, &iov, 1)) return std::nullopt;
   std::array<std::byte, kHandshakeSize> theirs{};
   if (!read_exact(fd, theirs.data(), theirs.size())) return std::nullopt;
   return decode_handshake(theirs);
@@ -136,37 +144,30 @@ void TcpTransport::adopt_connection(int fd, cache::NodeId peer) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   // Reap a dead predecessor first: a peer that crashed and re-dialed still
-  // owns a stale conns_ entry whose threads have exited (or are on their way
-  // out through drop_connection). Extract it under the lock, join outside —
-  // the reader/writer take mu_ themselves as they unwind, and adopt runs
-  // only on the accept_loop / connect_peers threads, never on a reader or
-  // writer, so the join cannot deadlock or self-join.
-  std::unique_ptr<Connection> dead;
+  // owns a stale conns_ entry whose reader has exited (or is on its way out
+  // through drop_connection). Take it out under the lock, join outside — the
+  // reader takes mu_ itself as it unwinds, and adopt runs only on the
+  // accept_loop / connect_peers threads, never on a reader, so the join
+  // cannot deadlock or self-join. A sender still writing to the dead socket
+  // holds its own reference, so the fd outlives this reap until it lets go.
+  std::shared_ptr<Connection> dead;
   {
     util::ScopedLock lock(mu_);
-    Connection* existing = conns_[peer].get();
-    if (existing != nullptr &&
-        !existing->alive.load(std::memory_order_acquire)) {
+    if (conns_[peer] != nullptr &&
+        !conns_[peer]->alive.load(std::memory_order_acquire)) {
       dead = std::move(conns_[peer]);
     }
   }
-  if (dead != nullptr) {
-    if (dead->reader.joinable()) dead->reader.join();
-    if (dead->writer.joinable()) dead->writer.join();
-    close_fd(dead->fd);
-  }
+  if (dead != nullptr && dead->reader.joinable()) dead->reader.join();
   util::ScopedLock lock(mu_);
   if (closed_ || conns_[peer] != nullptr) {
     ::close(fd);  // duplicate live connection, or shutting down
     return;
   }
-  auto conn = std::make_unique<Connection>(peer);
-  conn->fd = fd;
-  conn->alive.store(true, std::memory_order_release);
+  auto conn = std::make_shared<Connection>(fd, peer);
   Connection* raw = conn.get();
-  conns_[peer] = std::move(conn);
   raw->reader = std::thread([this, raw] { reader_loop(*raw); });
-  raw->writer = std::thread([this, raw] { writer_loop(*raw); });
+  conns_[peer] = std::move(conn);
 }
 
 void TcpTransport::connect_peers(const std::vector<TcpPeer>& peers) {
@@ -247,7 +248,7 @@ void TcpTransport::reader_loop(Connection& conn) {
     if (n <= 0) {
       // EOF or error; bytes stranded mid-frame mean the stream was cut
       // inside a message — count it with the malformed frames.
-      drop_connection(conn.peer, reader.buffered() > 0);
+      drop_connection(conn, reader.buffered() > 0);
       return;
     }
     {
@@ -256,7 +257,7 @@ void TcpTransport::reader_loop(Connection& conn) {
     }
     if (!reader.feed(std::span<const std::byte>(
             buf.data(), static_cast<std::size_t>(n)))) {
-      drop_connection(conn.peer, /*frame_error=*/true);
+      drop_connection(conn, /*frame_error=*/true);
       return;
     }
     while (auto frame = reader.next()) {
@@ -283,64 +284,16 @@ bool TcpTransport::route_incoming(Envelope env) {
   return inbound_.send(std::move(env));
 }
 
-void TcpTransport::writer_loop(Connection& conn) {
-  // post() admits only ready payloads, so every envelope is sendable the
-  // moment it is dequeued; receive() returns nullopt once the outbox is
-  // closed and drained.
-  while (std::optional<Envelope> first = conn.outbox.receive()) {
-    std::vector<Envelope> batch;
-    batch.push_back(std::move(*first));
-    while (batch.size() < kMaxBatch) {
-      auto more = conn.outbox.try_receive();
-      if (!more) break;
-      batch.push_back(std::move(*more));
-    }
-    std::uint64_t age = proto::kNoAge;
-    bool full = false;
-    if (summary_) std::tie(age, full) = summary_();
-    // Scatter-gather framing: one fixed header buffer per envelope plus an
-    // iovec pointing straight into the shared BlockData payload buffer.
-    // Payload bytes never copy through an intermediate frame buffer
-    // (TransportStats::payload_copies stays 0 — CI-asserted); `batch` keeps
-    // each BlockPtr alive until the writev completes.
-    std::vector<FrameHeaderBytes> headers;
-    headers.reserve(batch.size());  // reserve: iovecs alias the elements
-    std::vector<iovec> iov;
-    iov.reserve(batch.size() * 2);
-    std::size_t total = 0;
-    for (const Envelope& env : batch) {
-      headers.push_back(encode_frame_header(env, age, full));
-      iov.push_back({headers.back().data(), headers.back().size()});
-      total += headers.back().size();
-      if (env.data && !env.data->bytes.empty()) {
-        iov.push_back({const_cast<std::byte*>(env.data->bytes.data()),
-                       env.data->bytes.size()});
-        total += env.data->bytes.size();
-      }
-    }
-    if (!writev_all(conn.fd, iov.data(), iov.size())) {
-      drop_connection(conn.peer, /*frame_error=*/false);
-      return;
-    }
-    util::ScopedLock lock(mu_);
-    ++stats_.flushes;
-    stats_.bytes_sent += total;
-  }
-}
-
-void TcpTransport::drop_connection(cache::NodeId peer, bool frame_error) {
+void TcpTransport::drop_connection(Connection& conn, bool frame_error) {
   {
     util::ScopedLock lock(mu_);
-    Connection* conn = conns_[peer].get();
-    if (conn == nullptr || !conn->alive.load(std::memory_order_acquire)) {
+    if (!conn.alive.exchange(false, std::memory_order_acq_rel)) {
       return;  // already dropped
     }
-    conn->alive.store(false, std::memory_order_release);
     if (frame_error) ++stats_.frame_errors;
-    ::shutdown(conn->fd, SHUT_RDWR);  // unblocks the reader
-    conn->outbox.close();             // unblocks the writer
   }
-  pending_.fail(peer);
+  ::shutdown(conn.fd, SHUT_RDWR);  // unblocks the reader and any sender
+  pending_.fail(conn.peer);
 }
 
 Envelope TcpTransport::call_impl(Envelope env) {
@@ -375,23 +328,49 @@ bool TcpTransport::post(Envelope env) {
     }
     return route_incoming(std::move(env));
   }
-  Connection* conn = nullptr;
+  std::shared_ptr<Connection> conn;
   {
     util::ScopedLock lock(mu_);
     if (closed_) return false;
-    conn = conns_[env.msg.to].get();
+    conn = conns_[env.msg.to];
     if (conn == nullptr || !conn->alive.load(std::memory_order_acquire)) {
       return false;
     }
     ++stats_.sent;
   }
-  const cache::NodeId to = env.msg.to;
-  if (!conn->outbox.send_for(std::move(env), kSendTimeout)) {
-    // Stalled past the deadline (or already closing): treat the peer as
-    // dead rather than wedging this sender forever.
-    drop_connection(to, /*frame_error=*/false);
+  std::uint64_t age = proto::kNoAge;
+  bool full = false;
+  if (summary_set_.load(std::memory_order_acquire)) {
+    std::tie(age, full) = summary_();
+  }
+  // Scatter-gather framing: the fixed header plus an iovec pointing straight
+  // into the shared BlockData payload buffer, which `env` keeps alive until
+  // the send returns. Payload bytes never copy through an intermediate frame
+  // buffer (TransportStats::payload_copies stays 0 — CI-asserted).
+  FrameHeaderBytes header = encode_frame_header(env, age, full);
+  std::array<iovec, 2> iov{};
+  iov[0] = {header.data(), header.size()};
+  std::size_t iovcnt = 1;
+  if (env.data && !env.data->bytes.empty()) {
+    iov[1] = {const_cast<std::byte*>(env.data->bytes.data()),
+              env.data->bytes.size()};
+    iovcnt = 2;
+  }
+  const std::size_t total = iov[0].iov_len + iov[1].iov_len;
+  bool sent = false;
+  {
+    util::ScopedLock lock(conn->send_mu);
+    sent = send_all(conn->fd, iov.data(), iovcnt);
+  }
+  if (!sent) {
+    // Peer gone, or stalled past the deadline: drop this connection rather
+    // than wedge the next sender behind it.
+    drop_connection(*conn, /*frame_error=*/false);
     return false;
   }
+  util::ScopedLock lock(mu_);
+  ++stats_.flushes;
+  stats_.bytes_sent += total;
   return true;
 }
 
@@ -408,25 +387,21 @@ void TcpTransport::close() {
   inbound_.close();
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
-  // Mark every connection dead under the lock, then join outside it: the
-  // reader/writer threads take mu_ themselves on their way out, and after
-  // closed_ flips no adopt_connection can add entries, so the snapshot of
-  // raw pointers stays valid.
-  std::vector<Connection*> live;
+  // Take every connection out of the table under the lock, then shut and
+  // join outside it: readers take mu_ themselves on their way out, and after
+  // closed_ flips no adopt_connection can add entries. A socket closes when
+  // the last sender still holding it lets go.
+  std::vector<std::shared_ptr<Connection>> live;
   {
     util::ScopedLock lock(mu_);
     for (auto& conn : conns_) {
-      if (!conn) continue;
-      conn->alive.store(false, std::memory_order_release);
-      ::shutdown(conn->fd, SHUT_RDWR);
-      conn->outbox.close();
-      live.push_back(conn.get());
+      if (conn) live.push_back(std::move(conn));
     }
   }
-  for (Connection* conn : live) {
+  for (const auto& conn : live) {
+    conn->alive.store(false, std::memory_order_release);
+    ::shutdown(conn->fd, SHUT_RDWR);
     if (conn->reader.joinable()) conn->reader.join();
-    if (conn->writer.joinable()) conn->writer.join();
-    close_fd(conn->fd);
   }
   close_fd(listen_fd_);
 }

@@ -7,27 +7,33 @@
 // version, node id); anything else on the socket is length-prefixed frames
 // (net/frame.hpp).
 //
-// Threads per connection: a reader (deframes and routes — replies complete
-// pending call()s, requests land in the inbound mailbox the protocol thread
-// drains) and a writer draining a bounded outbox. The writer batches: it
-// sleeps until the outbox is non-empty, then drains everything queued into
-// one scatter-gather write syscall — control messages that arrive while a
-// flush is in flight coalesce into the next one, amortizing syscalls under
-// load without adding idle latency. Outbox enqueues use the deadline-bounded
-// Mailbox::send_for as backpressure: a peer that stays stalled past the
-// deadline is dropped rather than wedging the sender.
+// Threads: one reader per connection (deframes and routes — replies
+// complete pending call()s, requests land in the inbound mailbox the
+// protocol thread drains) plus the accept thread. There is no writer thread:
+// post() frames its envelope and sendmsg()s it on the caller's own thread,
+// header and payload as two iovecs, under the connection's send lock
+// (net.tcp.send[peer]) so concurrent frames never interleave on the wire.
+// Backpressure is the socket itself: a sender blocks while the peer's
+// receive window is full, and a connection whose socket has not taken a
+// whole frame within kSendTimeout (10 s, one deadline across every partial
+// write) is dropped as stalled rather than wedging the sender.
 //
 // Only ready bytes are sent: post() refuses an envelope whose payload latch
-// is still closed, so everything in an outbox can be written the moment the
-// writer reaches it, and nothing on a connection waits on a producer.
+// is still closed, so a send never waits on a producer.
 //
-// Failure model: a malformed frame, a mid-frame EOF, or a stalled outbox
+// Connection lifetime: a sender holds a shared_ptr to the connection it
+// writes, and the socket closes only when the last holder lets go, so
+// reaping a dead connection never frees or closes a socket mid-send. A
+// failed send drops the connection it was written to, not whatever has
+// since replaced it at that peer id.
+//
+// Failure model: a malformed frame, a mid-frame EOF, or a stalled send
 // drops that connection; RPCs pending against the dead peer fail promptly
 // with TransportError (kPeerDown, or kTimeout if the peer simply never
 // answers within call_timeout), everything else keeps flowing; close()
 // fails every pending call with kShutdown. A peer that re-dials after its
 // connection died is adopted back in: adopt_connection reaps the dead
-// connection's threads and installs the new socket, which is what lets a
+// connection's reader and installs the new socket, which is what lets a
 // crashed node rejoin a live mesh.
 #pragma once
 
@@ -83,7 +89,9 @@ class TcpTransport final : public Transport {
   void connect_peers(const std::vector<TcpPeer>& peers);
 
   /// Source of the local node's published cache summary (oldest age,
-  /// full), piggybacked on every outgoing flush. Defaults to "unknown".
+  /// full), piggybacked on every outgoing frame and called on the sending
+  /// thread. Defaults to "unknown". Install it once, before or after
+  /// connect_peers(); a second install throws std::logic_error.
   void set_summary_source(
       std::function<std::pair<std::uint64_t, bool>()> source);
 
@@ -105,28 +113,33 @@ class TcpTransport final : public Transport {
 
  private:
   struct Connection {
-    // fd/peer are set before the reader/writer threads start and are only
-    // read afterwards; alive is the atomic liveness flag.
-    int fd = -1;
-    cache::NodeId peer = cache::kInvalidNode;
-    Mailbox<Envelope> outbox;
+    // alive is the atomic liveness flag. The fd closes with the last
+    // shared_ptr (~Connection), so a sender still writing keeps it open.
+    const int fd;
+    const cache::NodeId peer;
+    /// Held across one frame's sendmsg/poll loop: frames never interleave.
+    util::Mutex send_mu;
     std::thread reader;
-    std::thread writer;
-    std::atomic<bool> alive{false};
+    std::atomic<bool> alive{true};
 
-    explicit Connection(cache::NodeId peer_id)
-        : peer(peer_id),
-          outbox("net.tcp.outbox[" + std::to_string(peer_id) + "]") {}
+    Connection(int sock, cache::NodeId peer_id)
+        : fd(sock),
+          peer(peer_id),
+          send_mu("net.tcp.send[" + std::to_string(peer_id) + "]") {}
+    ~Connection();
+    Connection(const Connection&) = delete;
+    Connection& operator=(const Connection&) = delete;
   };
 
   void accept_loop();
   void reader_loop(Connection& conn);
-  void writer_loop(Connection& conn);
   /// Performs the handshake on a fresh socket; returns the peer's node id
   /// or nullopt (socket closed by the caller on failure).
   std::optional<cache::NodeId> handshake(int fd);
   void adopt_connection(int fd, cache::NodeId peer);
-  void drop_connection(cache::NodeId peer, bool frame_error);
+  /// Marks `conn` dead, shuts its socket and fails the calls pending on its
+  /// peer; a no-op for a connection already dropped.
+  void drop_connection(Connection& conn, bool frame_error);
   /// Completes a call with a reply, or queues a request for the protocol
   /// thread; false when the inbound queue is closed.
   bool route_incoming(Envelope env);
@@ -139,14 +152,17 @@ class TcpTransport final : public Transport {
 
   Mailbox<Envelope> inbound_{"net.tcp.inbound"};
   PendingCalls pending_{"net.tcp.pending"};
+  // Written once, before summary_set_ is released; senders call it only
+  // after an acquire load sees the flag.
   std::function<std::pair<std::uint64_t, bool>()> summary_;
+  std::atomic<bool> summary_set_{false};
 
   // Connections table and delivery counters (the call counts live in
   // pending_). Ordered after the shard locks (a protocol thread RPCs
-  // through here with its shard held) and before the outbox mailbox locks;
-  // never held across a blocking send, a join, or a syscall.
+  // through here with its shard held); never held across a blocking send,
+  // a join or a syscall, and never nested with a connection's send lock.
   mutable util::Mutex mu_{"net.tcp.state"};
-  std::vector<std::unique_ptr<Connection>> conns_
+  std::vector<std::shared_ptr<Connection>> conns_
       GUARDED_BY(mu_);  // indexed by node id
   TransportStats stats_ GUARDED_BY(mu_);
 

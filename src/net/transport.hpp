@@ -46,19 +46,20 @@
 namespace coop::net {
 
 /// Delivery counters, uniform across implementations and counted from
-/// construction; the socket transport also fills the byte/flush fields (one
-/// flush == one write syscall, so sent/flushes is the control-message
-/// batching factor). The injected_* fields are filled only by FaultyTransport
-/// (net/fault.hpp). No transport fills rpc_retries or rpc_failures:
-/// CcmCluster::stats() sets them from the metrics registry, where
-/// call_with_retry records them.
+/// construction; the socket transport also fills the byte/flush fields. One
+/// flush is one frame written to a peer by the posting thread, so
+/// sent/flushes reads about 1.0 by construction (posts to the local node,
+/// and sends that fail, count as sent without a flush). The injected_*
+/// fields are filled only by FaultyTransport (net/fault.hpp). No transport
+/// fills rpc_retries or rpc_failures: CcmCluster::stats() sets them from the
+/// metrics registry, where call_with_retry records them.
 struct TransportStats {
   std::uint64_t sent = 0;            // envelopes handed to the transport
   std::uint64_t received = 0;        // envelopes delivered (incl. replies)
   std::uint64_t rpcs = 0;            // call() round trips completed
   std::uint64_t bytes_sent = 0;      // framed bytes written (TCP)
   std::uint64_t bytes_received = 0;  // framed bytes read (TCP)
-  std::uint64_t flushes = 0;         // write syscalls (TCP)
+  std::uint64_t flushes = 0;         // frames written to a peer (TCP)
   std::uint64_t frame_errors = 0;    // malformed frames -> dropped peers
   std::uint64_t injected_drops = 0;      // messages swallowed by a fault rule
   std::uint64_t injected_delays = 0;     // messages held back by a fault rule
@@ -69,7 +70,7 @@ struct TransportStats {
   std::uint64_t rpc_failures = 0;    // retry budgets exhausted -> error
   /// Send-side payload buffer copies. The zero-copy contract keeps this at 0
   /// on every transport: in-proc delivery forwards the shared BlockPtr, and
-  /// the TCP writer scatter-gathers {frame header, payload} straight from
+  /// a TCP send scatter-gathers {frame header, payload} straight from
   /// the shared BlockData buffer (CI asserts == 0 on the loopback cluster).
   std::uint64_t payload_copies = 0;
 

@@ -1,7 +1,7 @@
 // lockcheck — a runtime lock-order watchdog.
 //
 // Every coop::util::Mutex / CountingMutex registers itself here under a
-// stable name ("ccm.shard[2]", "proto.directory", "net.tcp.outbox[1]", ...)
+// stable name ("ccm.shard[2]", "proto.directory", "net.tcp.send[1]", ...)
 // and reports its acquisitions and releases. The watchdog maintains, per
 // thread, the stack of locks currently held, and globally, the acquisition-
 // order graph: an edge A -> B is recorded the first time any thread attempts

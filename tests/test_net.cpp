@@ -14,7 +14,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ccm/cluster.hpp"
@@ -43,8 +45,7 @@ TEST(Mailbox, SendReceiveOrder) {
   mb.send(1);
   mb.send(2);
   EXPECT_EQ(mb.receive().value(), 1);
-  EXPECT_EQ(mb.try_receive().value(), 2);
-  EXPECT_FALSE(mb.try_receive().has_value());
+  EXPECT_EQ(mb.receive().value(), 2);
 }
 
 TEST(Mailbox, CloseDrainsThenEnds) {
@@ -81,26 +82,6 @@ TEST(Mailbox, BoundedCapacityBlocksProducer) {
   EXPECT_EQ(mb.receive().value(), 1);
   producer.join();
   EXPECT_TRUE(second_sent.load());
-}
-
-TEST(Mailbox, SendForTimesOutAgainstAFullMailbox) {
-  net::Mailbox<int> mb("test.mailbox", 1);
-  ASSERT_TRUE(mb.send(1));
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(mb.send_for(2, 30ms));
-  EXPECT_GE(std::chrono::steady_clock::now() - t0, 25ms);
-}
-
-TEST(Mailbox, SendForSucceedsOnceAConsumerMakesRoom) {
-  net::Mailbox<int> mb("test.mailbox", 1);
-  ASSERT_TRUE(mb.send(1));
-  std::thread consumer([&] {
-    std::this_thread::sleep_for(20ms);
-    EXPECT_EQ(mb.receive(), 1);
-  });
-  EXPECT_TRUE(mb.send_for(2, 5s));  // unblocks well before the deadline
-  consumer.join();
-  EXPECT_EQ(mb.receive(), 2);
 }
 
 // ------------------------------------------------------------- framing ----
@@ -641,8 +622,8 @@ TEST(TcpTransport, PairConnectCallAndPayloadRoundtrip) {
 }
 
 // Only ready bytes leave a node: post() refuses a payload whose latch is
-// still closed, before it can reach an outbox, and the connection carries
-// on as if it had never been offered.
+// still closed, before any byte of it reaches the socket, and the
+// connection carries on as if it had never been offered.
 TEST(TcpTransport, PostRejectsUnreadyPayloadAndLaterCallsComplete) {
   auto t = tcp_mesh(2);
   std::thread server([&] { echo_server(*t[1], 1); });
@@ -665,6 +646,71 @@ TEST(TcpTransport, PostRejectsUnreadyPayloadAndLaterCallsComplete) {
   t[0]->close();
   t[1]->close();
   server.join();
+}
+
+// The caller writes its own frame: when post() returns, the frame is on
+// the socket and counted, with no thread left to flush it later.
+TEST(TcpTransport, PostHasSentItsFrameWhenItReturns) {
+  auto t = tcp_mesh(2);
+  for (std::uint64_t k = 1; k <= 50; ++k) {
+    net::Envelope oneway;
+    oneway.msg = proto::Message::barrier(0, 1, static_cast<std::uint32_t>(k));
+    ASSERT_TRUE(t[0]->post(std::move(oneway)));
+    const net::TransportStats s = t[0]->stats();
+    EXPECT_EQ(s.flushes, k);
+    EXPECT_EQ(s.bytes_sent, k * (4 + net::kFrameFixedSize));
+  }
+  t[0]->close();
+  t[1]->close();
+}
+
+// Sending threads read the summary source without a lock, so it is
+// installed exactly once.
+TEST(TcpTransport, SummarySourceInstallsOnce) {
+  net::TcpConfig tc;
+  net::TcpTransport t(tc);
+  const auto source = [] { return std::pair<std::uint64_t, bool>{7, true}; };
+  t.set_summary_source(source);
+  EXPECT_THROW(t.set_summary_source(source), std::logic_error);
+}
+
+/// Polls until `t` reports `peers` live connections (about 10 s at most).
+bool await_peers(const net::TcpTransport& t, std::size_t peers) {
+  for (int i = 0; i < 10000 && t.connected_peers() != peers; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  return t.connected_peers() == peers;
+}
+
+// A peer that closes and re-dials is adopted back in: the survivor reaps the
+// dead connection and calls flow both ways over the new one.
+TEST(TcpTransport, RedialedPeerIsAdoptedBack) {
+  auto t = tcp_mesh(2);
+  t[1]->close();
+  ASSERT_TRUE(await_peers(*t[0], 0));
+
+  net::TcpConfig tc;
+  tc.local_node = 1;
+  tc.nodes = 2;
+  t[1] = std::make_unique<net::TcpTransport>(tc);
+  t[1]->connect_peers({{"127.0.0.1", t[0]->listen_port()},
+                       {"127.0.0.1", t[1]->listen_port()}});
+  ASSERT_TRUE(await_peers(*t[0], 1));
+
+  std::thread server0([&] { echo_server(*t[0], 0); });
+  std::thread server1([&] { echo_server(*t[1], 1); });
+  for (std::uint32_t phase = 1; phase <= 3; ++phase) {
+    net::Envelope to1;
+    to1.msg = proto::Message::barrier(0, 1, phase);
+    EXPECT_EQ(t[0]->call(std::move(to1)).msg.count, phase);
+    net::Envelope to0;
+    to0.msg = proto::Message::barrier(1, 0, phase);
+    EXPECT_EQ(t[1]->call(std::move(to0)).msg.count, phase);
+  }
+  t[0]->close();
+  t[1]->close();
+  server0.join();
+  server1.join();
 }
 
 // Regression: a call pending on a connection that dies must fail with a
