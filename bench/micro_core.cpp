@@ -73,6 +73,32 @@ void BM_LruTouch(benchmark::State& state) {
 }
 BENCHMARK(BM_LruTouch);
 
+void BM_LruAgedInsert(benchmark::State& state) {
+  // Each step evicts the oldest entry and admits one whose age lands in the
+  // oldest eighth, as a forwarded master's does in sim-rutgers. The youngest
+  // 7/8 of the slots hold fixed young ages; the oldest eighth churns under a
+  // clock that advances one tick per step, so the shape stays put.
+  const auto slots = static_cast<std::uint32_t>(state.range(0));
+  const std::uint32_t band = slots / 8;
+  constexpr std::uint64_t kYoung = 1ull << 40;
+  cache::LruList lru;
+  for (std::uint32_t i = band; i < slots; ++i) {
+    lru.insert(cache::BlockId{i, 0}, kYoung + i);
+  }
+  std::uint64_t clock = 0;
+  for (std::uint32_t i = 0; i < band; ++i) {
+    lru.insert(cache::BlockId{i, 0}, ++clock);
+  }
+  sim::Rng rng(4);
+  for (auto _ : state) {
+    const auto victim = lru.pop_oldest();
+    lru.insert(victim.block, ++clock + rng.uniform_int(band));
+    benchmark::DoNotOptimize(victim);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LruAgedInsert)->Arg(64)->Arg(1024)->Arg(4096);
+
 void BM_DirectoryLookup(benchmark::State& state) {
   cache::PerfectDirectory dir;
   for (std::uint32_t i = 0; i < 100000; ++i) {

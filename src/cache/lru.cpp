@@ -2,44 +2,54 @@
 
 namespace coop::cache {
 
+LruList::Slot LruList::place(const BlockId& b, std::uint64_t age) {
+  const Placed p{Entry{b, age}, next_seq_++};
+  if (recent_.empty() || age >= recent_.back().entry.age) {
+    return Slot{false, recent_.insert(recent_.end(), p), {}};
+  }
+  return Slot{true, {}, aged_.insert(p).first};
+}
+
+void LruList::unlink(const Slot& s) {
+  if (s.aged) {
+    aged_.erase(s.in_set);
+  } else {
+    recent_.erase(s.in_list);
+  }
+}
+
 void LruList::insert(const BlockId& b, std::uint64_t age) {
   assert(!contains(b));
-  // Find the first entry (from the back) with age <= the new age and insert
-  // after it. Newly-touched blocks (the common case) land at the back in O(1);
-  // forwarded old blocks walk further.
-  auto pos = list_.end();
-  while (pos != list_.begin()) {
-    auto prev = std::prev(pos);
-    if (prev->age <= age) break;
-    pos = prev;
-  }
-  const auto it = list_.insert(pos, Entry{b, age});
-  index_.emplace(b, it);
+  index_.emplace(b, place(b, age));
 }
 
 void LruList::touch(const BlockId& b, std::uint64_t age) {
   const auto it = index_.find(b);
   assert(it != index_.end());
-  assert(age >= it->second->age);
-  list_.erase(it->second);
-  // Touched entries carry a fresh (maximal) age, so they belong at the back.
-  const auto pos = list_.insert(list_.end(), Entry{b, age});
-  it->second = pos;
+  Slot& slot = it->second;
+  assert(age >= placed(slot).entry.age);
+  if (!slot.aged && age >= recent_.back().entry.age) {
+    // The common case, a newest age: relink the node to the back.
+    recent_.splice(recent_.end(), recent_, slot.in_list);
+    slot.in_list->entry.age = age;
+    slot.in_list->seq = next_seq_++;
+    return;
+  }
+  unlink(slot);
+  slot = place(b, age);
 }
 
 bool LruList::erase(const BlockId& b) {
   const auto it = index_.find(b);
   if (it == index_.end()) return false;
-  list_.erase(it->second);
+  unlink(it->second);
   index_.erase(it);
   return true;
 }
 
 LruList::Entry LruList::pop_oldest() {
-  assert(!empty());
-  Entry e = list_.front();
-  list_.pop_front();
-  index_.erase(e.block);
+  const Entry e = oldest();
+  erase(e.block);
   return e;
 }
 

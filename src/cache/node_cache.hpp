@@ -1,10 +1,12 @@
 // Per-node block cache: capacity accounting plus master/non-master LRU books.
 //
-// Masters and non-masters are kept in separate age-ordered lists so both
-// replacement policies run in O(1)/O(log-ish) per eviction:
+// Masters and non-masters are kept in separate age-ordered lists, so either
+// replacement policy finds its victim at a list front in O(1):
 //  * CC-Basic needs the *globally* oldest local block = older of the two
 //    fronts;
 //  * CC-NEM needs the oldest non-master when one exists.
+// A touch or a newest-age insert is O(1); an insert with an older age (an
+// accepted forward, a promotion or a demotion) is O(log n) (see lru.hpp).
 #pragma once
 
 #include <cstdint>

@@ -349,6 +349,9 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
 
     case proto::MsgKind::kMasterForward: {
       util::UniqueLock lock(sh.mu);
+      // The forward keeps the sender's age (§3); merging it first keeps
+      // every age this shard holds at or below this process's clock.
+      merge_clock(msg.age);
       const proto::PendingForward pf{msg.block, msg.age, msg.count};
       std::vector<cache::Drop> drops;
       const auto outcome = sh.state.handle_forward(pf, drops);

@@ -368,6 +368,15 @@ class CcmCluster {
     return clock_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
+  /// Lamport merge: raises the clock to at least `age`, an age ticked by
+  /// another process's clock, so every later tick() is younger than it.
+  void merge_clock(std::uint64_t age) {
+    std::uint64_t now = clock_.load(std::memory_order_relaxed);
+    while (now < age &&
+           !clock_.compare_exchange_weak(now, age, std::memory_order_relaxed)) {
+    }
+  }
+
   /// Executes one read on the calling thread.
   std::vector<std::byte> execute_read(cache::NodeId node, cache::FileId file,
                                       std::uint64_t offset,

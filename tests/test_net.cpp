@@ -32,6 +32,30 @@
 #include "obs/metrics.hpp"
 #include "proto/dir_batch.hpp"
 #include "sim/random.hpp"
+#include "util/mutex.hpp"
+
+namespace coop::ccm {
+
+struct CcmClusterTestPeer {
+  static std::uint64_t clock_value(const CcmCluster& c) {
+    return c.clock_.load(std::memory_order_relaxed);
+  }
+  /// The youngest age node `n`'s shard holds; 0 when it holds nothing.
+  static std::uint64_t youngest_age(const CcmCluster& c, std::size_t n) {
+    CcmCluster::Shard& sh = *c.shards_[n];
+    util::UniqueLock lock(sh.mu);
+    std::uint64_t youngest = 0;
+    for (const auto& e : sh.state.cache().masters()) {
+      youngest = std::max(youngest, e.age);
+    }
+    for (const auto& e : sh.state.cache().copies()) {
+      youngest = std::max(youngest, e.age);
+    }
+    return youngest;
+  }
+};
+
+}  // namespace coop::ccm
 
 namespace coop {
 namespace {
@@ -968,6 +992,43 @@ TEST(ClusterOverTcp, StorageBytesMatchInProcessRun) {
   for (std::size_t n = 0; n < kEqNodes; ++n) {
     EXPECT_EQ(transports[n]->stats().payload_copies, 0u) << "node " << n;
   }
+}
+
+// A forwarded master keeps its age (§3), which the sender's clock ticked.
+// Each process counts its own clock, so the receiver merges that age into
+// its clock (a Lamport merge): no age it holds is ahead of its clock, and
+// every later tick is younger than anything it holds.
+TEST(ClusterOverTcp, ForwardedAgeMergesIntoTheReceiversClock) {
+  constexpr std::uint32_t kBlockBytes = 1024;
+  constexpr std::uint32_t kFileBytes = 2 * kBlockBytes;
+  ccm::CcmConfig cfg;
+  cfg.nodes = 2;
+  cfg.block_bytes = kBlockBytes;
+  cfg.capacity_bytes = 4 * kBlockBytes;
+  auto home_storage = std::make_shared<ccm::BufferStorage>(
+      std::vector<std::uint32_t>(4, kFileBytes));
+  auto transports = tcp_mesh(2);
+  auto clusters = tcp_clusters(cfg, transports, home_storage);
+
+  // Node 1 fills its cache while its clock is young; its trips to the home
+  // carry its summary, so node 0 sees a peer with older ages.
+  clusters[1]->read(1, 0);
+  clusters[1]->read(1, 1);
+  // Node 0's clock runs far ahead on local hits. Its cache then fills, and
+  // the next read forwards its oldest masters to node 1.
+  for (int i = 0; i < 200; ++i) clusters[0]->read(0, 2);
+  clusters[0]->read(0, 3);
+  clusters[0]->read(0, 1);
+  ASSERT_GT(clusters[0]->stats().forwards_accepted, 0u);
+
+  const std::uint64_t sender =
+      ccm::CcmClusterTestPeer::clock_value(*clusters[0]);
+  const std::uint64_t youngest =
+      ccm::CcmClusterTestPeer::youngest_age(*clusters[1], 1);
+  EXPECT_GT(youngest, 200u) << "node 1 holds no forwarded age";
+  EXPECT_LE(youngest, sender);
+  EXPECT_LE(youngest, ccm::CcmClusterTestPeer::clock_value(*clusters[1]));
+  shut_down(clusters);
 }
 
 // Regression: a read whose block run is about as large as the node's cache
