@@ -288,13 +288,24 @@ int main(int argc, char** argv) {
                  : 0.0;
   const double local_ops =
       static_cast<double>(local_drivers) * static_cast<double>(wl.iters);
+  // Each peer fetch asks one master for every block a read needs from it.
+  const std::uint64_t fetches =
+      cluster.metrics()
+          .snapshot()
+          .rpc[static_cast<std::size_t>(proto::MsgKind::kPeerFetch)]
+          .calls;
+  const double blocks_per_fetch =
+      fetches ? static_cast<double>(s.remote_hits) /
+                    static_cast<double>(fetches)
+              : 0.0;
   std::cout << "ccm_node " << local << ": " << local_drivers << " drivers x "
             << wl.iters << " ops, elapsed " << util::fixed(secs, 3) << " s, "
             << util::fixed(secs > 0 ? local_ops / secs : 0.0, 0)
             << " ops/s\n"
             << "  hits: local " << s.local_hits << ", remote "
             << s.remote_hits << ", disk " << s.disk_reads << ", writes "
-            << s.writes << "\n"
+            << s.writes << "; peer-fetch rpcs " << fetches << " ("
+            << util::fixed(blocks_per_fetch, 2) << " blocks per fetch)\n"
             << "  transport: rpcs " << ts.rpcs << ", frames sent " << ts.sent
             << " in " << ts.flushes << " flushes ("
             << util::fixed(batching, 2) << " msgs/flush), bytes tx "

@@ -1,14 +1,17 @@
 #include "ccm/cluster.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
+#include "net/frame.hpp"
 #include "util/audit.hpp"
 #include "util/mutex.hpp"
 
@@ -211,7 +214,7 @@ net::Envelope CcmCluster::serve(cache::NodeId node, net::Envelope& env) {
   net::Envelope out;
   out.msg = reply.msg;
   out.seq = env.seq;  // correlates with the caller blocked in call()
-  out.data = std::move(reply.data);
+  out.payloads = std::move(reply.payloads);
   return out;
 }
 
@@ -228,7 +231,7 @@ CcmCluster::Reply CcmCluster::rpc(const proto::Message& msg, BlockPtr data,
   net::Envelope env;
   env.msg = msg;
   env.epoch = epoch;
-  env.data = std::move(data);
+  if (data) env.payloads.push_back(std::move(data));
   // Runtime tracing: stamp the ambient trace identity into the wire message
   // (the remote handler adopts it) and time the blocking slice. Stamps are
   // zero — and skipped entirely — when tracing is off, so deterministic
@@ -255,7 +258,7 @@ CcmCluster::Reply CcmCluster::rpc(const proto::Message& msg, BlockPtr data,
                         obs::runtime_wall_ns(), msg.from, obs::kLaneRpcClient,
                         proto::kind_name(msg.kind)});
     }
-    return {reply.msg, std::move(reply.data)};
+    return {reply.msg, std::move(reply.payloads)};
   } catch (...) {
     if (client_span != 0) {
       span_log_.record({env.msg.trace, client_span,
@@ -318,11 +321,24 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
 
   switch (msg.kind) {
     case proto::MsgKind::kPeerFetch: {
+      // One shard-lock hold serves the whole set: every block that is a
+      // ready master here is touched and ships, in ascending index order;
+      // every other block misses.
+      const std::uint64_t want = msg.fetch_mask();
+      std::uint64_t hits = 0;
+      std::uint64_t bytes = 0;
+      std::vector<BlockPtr> payloads;
+      payloads.reserve(static_cast<std::size_t>(std::popcount(want)));
       const std::uint64_t lw0 = obs::runtime_now_ns();
       util::UniqueLock lock(sh.mu);
       metrics_.record_lock_wait(obs::runtime_now_ns() - lw0);
-      if (sh.state.is_master(msg.block)) {
-        const auto it = sh.store.find(msg.block);
+      for (std::uint32_t i = 0; i < proto::kFetchSetSpan; ++i) {
+        const std::uint64_t bit = std::uint64_t{1} << i;
+        if ((want & bit) == 0) continue;
+        const cache::BlockId block{msg.block.file, msg.block.index + i};
+        if (block.index < msg.block.index) break;  // past the last index
+        if (!sh.state.is_master(block)) continue;  // not (or no longer) ours
+        const auto it = sh.store.find(block);
         assert(it != sh.store.end());
         // Only promise bytes that exist: a master still being faulted in
         // must not leave this node as a reply payload. A framed transport
@@ -330,21 +346,19 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
         // producer may itself be blocked on a fetch from the requester's
         // node, deadlocking both. A miss sends the requester back to the
         // directory; by its next attempt the fill has finished.
-        if (it->second->is_ready()) {
-          sh.state.touch(msg.block, tick());
-          sh.state.publish();
-          CCM_AUDIT_HOOK(audit_shard_locked(sh, self, "peer_fetch"));
-          return {proto::Message::peer_fetch_reply(self, msg.from, msg.block,
-                                                   /*hit=*/true,
-                                                   config_.block_bytes),
-                  it->second};
-        }
+        if (!it->second->is_ready()) continue;
+        sh.state.touch(block, tick());
+        hits |= bit;
+        bytes += it->second->bytes.size();
+        payloads.push_back(it->second);
       }
-      // Not the master (any more), or the master's bytes are still in
-      // flight: the requester re-reads the directory.
+      if (hits != 0) {
+        sh.state.publish();
+        CCM_AUDIT_HOOK(audit_shard_locked(sh, self, "peer_fetch"));
+      }
       return {proto::Message::peer_fetch_reply(self, msg.from, msg.block,
-                                               /*hit=*/false, 0),
-              nullptr};
+                                               hits, bytes),
+              std::move(payloads)};
     }
 
     case proto::MsgKind::kMasterForward: {
@@ -361,14 +375,14 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
         if (dir_->claim_forwarded(msg.block, self, msg.from, env.epoch)) {
           accepted = promoted = true;
           // Promotion: this node's copy already shares the master's bytes.
-          sh.store.try_emplace(msg.block, env.data);
+          sh.store.try_emplace(msg.block, env.payload());
         } else {
           sh.state.demote_to_copy(msg.block);
         }
       } else if (outcome == proto::ForwardOutcome::kAccepted) {
         if (dir_->claim_forwarded(msg.block, self, msg.from, env.epoch)) {
           accepted = true;
-          sh.store[msg.block] = env.data;
+          sh.store[msg.block] = env.payload();
         } else {
           // A rival claim or an invalidation won; undo the insert.
           sh.state.erase_entry(msg.block);
@@ -384,7 +398,7 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
       CCM_AUDIT_HOOK(audit_shard_locked(sh, self, "master_forward"));
       return {proto::Message::forward_ack(self, msg.from, msg.block, accepted,
                                           promoted),
-              nullptr};
+              {}};
     }
 
     case proto::MsgKind::kInvalidateBlock: {
@@ -397,7 +411,7 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
       }
       sh.state.publish();
       CCM_AUDIT_HOOK(audit_shard_locked(sh, self, "invalidate_block"));
-      return {proto::Message::invalidate_ack(self, msg.from), nullptr};
+      return {proto::Message::invalidate_ack(self, msg.from), {}};
     }
 
     case proto::MsgKind::kInvalidateFile: {
@@ -415,7 +429,7 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
       drop_masters(self, dropped);
       sh.state.publish();
       CCM_AUDIT_HOOK(audit_shard_locked(sh, self, "invalidate_file"));
-      return {proto::Message::invalidate_ack(self, msg.from), nullptr};
+      return {proto::Message::invalidate_ack(self, msg.from), {}};
     }
 
     case proto::MsgKind::kWriteOwnership: {
@@ -436,26 +450,27 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
           return {proto::Message::write_ownership_reply(
                       self, msg.from, msg.block, /*transferred=*/true,
                       config_.block_bytes),
-                  std::move(data)};
+                  {std::move(data)}};
         }
         return {proto::Message::write_ownership_reply(
                     self, msg.from, msg.block, /*transferred=*/false, 0),
-                nullptr};
+                {}};
       }
       // Already evicted / forwarded away; the writer faults in from storage.
       return {proto::Message::write_ownership_reply(self, msg.from, msg.block,
                                                     /*transferred=*/false, 0),
-              nullptr};
+              {}};
     }
 
     // --- home-process services (remote directory / storage / barrier) ---
 
     case proto::MsgKind::kDirBatchRequest: {
       assert(home_dir_ != nullptr && self == home_);
-      assert(env.data != nullptr);
-      env.data->wait_ready();  // ready on arrival (decoded frame / in-proc)
+      const BlockPtr request = env.payload();
+      assert(request != nullptr);
+      request->wait_ready();  // ready on arrival (decoded frame / in-proc)
       std::vector<proto::DirBatchResult> results;
-      if (const auto req = proto::decode_dir_batch_request(env.data->bytes)) {
+      if (const auto req = proto::decode_dir_batch_request(request->bytes)) {
         home_dir_->apply_batch(req->node, req->items, results);
       }
       // A malformed request answers with zero results; the client sees the
@@ -465,7 +480,7 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
       return {proto::Message::dir_batch_reply(
                   self, msg.from, static_cast<std::uint32_t>(results.size()),
                   bytes),
-              net::make_ready_block(std::move(payload))};
+              {net::make_ready_block(std::move(payload))}};
     }
 
     case proto::MsgKind::kDirLookup:
@@ -487,7 +502,7 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
       data->ready = true;
       return {proto::Message::storage_data(self, msg.from, msg.block.file,
                                            msg.bytes),
-              std::move(data)};
+              {std::move(data)}};
     }
 
     case proto::MsgKind::kStorageWrite: {
@@ -495,11 +510,12 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
       if (writable_ == nullptr) {
         throw std::logic_error("kStorageWrite against a read-only storage");
       }
-      assert(env.data != nullptr);
-      env.data->wait_ready();
-      writable_->write(msg.block.file, msg.age, env.data->bytes);
+      const BlockPtr data = env.payload();
+      assert(data != nullptr);
+      data->wait_ready();
+      writable_->write(msg.block.file, msg.age, data->bytes);
       return {proto::Message::storage_ack(self, msg.from, msg.block.file),
-              nullptr};
+              {}};
     }
 
     case proto::MsgKind::kBarrier: {
@@ -510,7 +526,7 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
       const bool granted = arrived.size() >= config_.nodes;
       return {proto::Message::barrier_reply(self, msg.from, msg.count,
                                             granted),
-              nullptr};
+              {}};
     }
 
     case proto::MsgKind::kStatsPull: {
@@ -521,14 +537,14 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
       auto wire = metrics_.snapshot().encode();
       const auto size = static_cast<std::uint64_t>(wire.size());
       return {proto::Message::stats_reply(self, msg.from, size),
-              net::make_ready_block(std::move(wire))};
+              {net::make_ready_block(std::move(wire))}};
     }
 
     default:
       // Reply kinds are routed to call() waiters by the transport; anything
       // else here is a protocol error.
       assert(false && "unexpected message kind at a node handler");
-      return {proto::Message::invalidate_ack(self, msg.from), nullptr};
+      return {proto::Message::invalidate_ack(self, msg.from), {}};
   }
 }
 
@@ -541,14 +557,14 @@ CcmCluster::Reply CcmCluster::handle_directory(cache::NodeId self,
     case proto::MsgKind::kDirLookup:
       return {proto::Message::dir_reply(self, to, msg.block,
                                         d.lookup(msg.block), 0, false, false),
-              nullptr};
+              {}};
     case proto::MsgKind::kDirBeginForward: {
       const auto epoch = d.begin_forward(msg.block, msg.from);
       return {proto::Message::dir_reply(self, to, msg.block,
                                         cache::kInvalidNode,
                                         epoch.value_or(0), epoch.has_value(),
                                         false),
-              nullptr};
+              {}};
     }
     case proto::MsgKind::kDirClaimForwarded: {
       const bool granted = d.claim_forwarded(
@@ -557,33 +573,33 @@ CcmCluster::Reply CcmCluster::handle_directory(cache::NodeId self,
       return {proto::Message::dir_reply(self, to, msg.block,
                                         cache::kInvalidNode, 0, granted,
                                         false),
-              nullptr};
+              {}};
     }
     case proto::MsgKind::kDirForwardRejected:
       d.forward_rejected(msg.block, msg.from);
       return {proto::Message::dir_reply(self, to, msg.block,
                                         cache::kInvalidNode, 0, true, false),
-              nullptr};
+              {}};
     case proto::MsgKind::kDirWriteClaim:
       return {proto::Message::dir_reply(self, to, msg.block,
                                         d.write_claim(msg.block, msg.from), 0,
                                         true, false),
-              nullptr};
+              {}};
     case proto::MsgKind::kDirWriteBegin:
       d.write_begin(msg.block.file);
       return {proto::Message::dir_reply(self, to, msg.block,
                                         cache::kInvalidNode, 0, true, false),
-              nullptr};
+              {}};
     case proto::MsgKind::kDirWriteEnd:
       d.write_end(msg.block.file);
       return {proto::Message::dir_reply(self, to, msg.block,
                                         cache::kInvalidNode, 0, true, false),
-              nullptr};
+              {}};
     case proto::MsgKind::kDirInvalidateFile:
       d.invalidate_file(msg.block.file);
       return {proto::Message::dir_reply(self, to, msg.block,
                                         cache::kInvalidNode, 0, true, false),
-              nullptr};
+              {}};
     case proto::MsgKind::kDirPurgeNode: {
       // `count` names the dead node; the purged-master count rides back in
       // the reply's epoch slot. Idempotent: a re-ask purges nothing more.
@@ -592,13 +608,13 @@ CcmCluster::Reply CcmCluster::handle_directory(cache::NodeId self,
       return {proto::Message::dir_reply(self, to, msg.block,
                                         cache::kInvalidNode, purged, true,
                                         false),
-              nullptr};
+              {}};
     }
     default:
       assert(false && "not a directory request");
       return {proto::Message::dir_reply(self, to, msg.block,
                                         cache::kInvalidNode, 0, false, false),
-              nullptr};
+              {}};
   }
 }
 
@@ -746,6 +762,16 @@ void CcmCluster::hint_clear_file(cache::FileId file) {
 }
 
 // --------------------------------------------------------------- reads ----
+
+std::size_t CcmCluster::fetch_set_cap(std::uint32_t block_bytes) {
+  // A full reply frame holds the header, a 4-byte length per payload and the
+  // payloads; keep it under the frame ceiling.
+  const std::size_t room = net::kDefaultMaxFrame - 4 - net::kFrameFixedSize;
+  const std::size_t fit = room / (std::size_t{block_bytes} + 4);
+  return std::clamp<std::size_t>(
+      fit, 1,
+      std::min<std::size_t>(proto::kFetchSetSpan, net::kMaxFramePayloads));
+}
 
 void CcmCluster::acquire_run(
     cache::NodeId node, cache::FileId file, std::uint32_t first,
@@ -909,35 +935,67 @@ void CcmCluster::acquire_run(
       CCM_AUDIT_HOOK(audit_shard_locked(sh, node, "disk_read"));
     }
 
-    // Pass 4 — remote hits: per-block peer fetches (bulk payloads keep their
-    // own RPCs — that is the zero-copy path), then ONE batched validation
-    // under the shard lock decides which copies may be cached.
+    // Pass 4 — remote hits: ONE kPeerFetch per master asks for every block
+    // it holds for this run (a run wider than one set, fetch_set_cap, takes
+    // several), and its reply carries each block the master still had — its
+    // own buffers in-process, one iovec each over TCP. Every miss re-chains
+    // on its own. Then ONE batched validation under the shard lock decides
+    // which copies may be cached.
+    const std::size_t set_cap = fetch_set_cap(config_.block_bytes);
+    std::sort(to_fetch.begin(), to_fetch.end(),
+              [&pending](std::size_t a, std::size_t b) {
+                return std::tie(pending[a].master, pending[a].index) <
+                       std::tie(pending[b].master, pending[b].index);
+              });
     std::vector<std::size_t> fetched;
-    for (const std::size_t i : to_fetch) {
-      Pending& p = pending[i];
-      const cache::BlockId block{file, p.index};
-      Reply reply;
-      bool hit = false;
+    for (std::size_t at = 0; at < to_fetch.size();) {
+      const Pending& head = pending[to_fetch[at]];
+      std::uint64_t mask = 0;
+      bool misdirected = false;
+      std::size_t end = at;
+      for (; end < to_fetch.size() && end - at < set_cap; ++end) {
+        const Pending& p = pending[to_fetch[end]];
+        if (p.master != head.master ||
+            p.index - head.index >= proto::kFetchSetSpan) {
+          break;
+        }
+        mask |= std::uint64_t{1} << (p.index - head.index);
+        misdirected |= p.misdirected;
+      }
+      std::uint64_t hits = 0;
+      std::vector<BlockPtr> payloads;
       try {
-        reply = rpc(proto::Message::peer_fetch(node, p.master, block,
-                                               p.misdirected));
-        hit = reply.msg.has(proto::kFlagHit) && reply.data;
+        Reply reply = rpc(proto::Message::peer_fetch(
+            node, head.master, {file, head.index}, mask, misdirected));
+        hits = reply.msg.fetch_mask();
+        payloads = std::move(reply.payloads);
       } catch (const net::TransportError&) {
         // Master unreachable (crashed, or the link ate every retry): re-read
-        // the directory — a crash purge re-homes the block.
+        // the directory — a crash purge re-homes the blocks.
       }
-      if (!hit) {
-        // The master moved while the fetch flew, or is unreachable.
-        if (p.from_hint) {
-          metrics_.incr(obs::RtCounter::kHintStale);
-          hint_clear(block);
+      if ((hits & ~mask) != 0 ||
+          static_cast<std::size_t>(std::popcount(hits)) != payloads.size()) {
+        hits = 0;  // a reply that does not match its set ships nothing
+      }
+      std::size_t next = 0;
+      for (std::size_t j = at; j < end; ++j) {
+        Pending& p = pending[to_fetch[j]];
+        if (((hits >> (p.index - head.index)) & 1) == 0) {
+          // The master moved while the fetch flew, or is unreachable.
+          if (p.from_hint) {
+            metrics_.incr(obs::RtCounter::kHintStale);
+            hint_clear(cache::BlockId{file, p.index});
+          }
+          retry.push_back(p.index);
+          continue;
         }
-        retry.push_back(p.index);
-        continue;
+        p.fetched = std::move(payloads[next++]);
+        fetched.push_back(to_fetch[j]);
       }
-      p.fetched = std::move(reply.data);
-      fetched.push_back(i);
+      at = end;
     }
+    // Insert in request order, not in master order.
+    std::sort(fetched.begin(), fetched.end());
     if (!fetched.empty()) {
       const std::uint64_t lw2 = obs::runtime_now_ns();
       util::UniqueLock lock(sh.mu);
@@ -1165,7 +1223,7 @@ void CcmCluster::execute_write(cache::NodeId node, cache::FileId file,
         const Reply reply =
             rpc(proto::Message::write_ownership(node, previous, block));
         if (reply.msg.has(proto::kFlagTransferred)) {
-          migrated = reply.data;
+          if (!reply.payloads.empty()) migrated = reply.payloads.front();
           migrated_in = true;
         }
       } catch (const net::TransportError&) {
@@ -1412,9 +1470,10 @@ obs::MetricsSnapshot CcmCluster::scrape_cluster() {
     try {
       Reply r = rpc(proto::Message::stats_pull(
           self, static_cast<cache::NodeId>(n)));
-      if (!r.data) continue;
-      r.data->wait_ready();
-      const auto remote = obs::MetricsSnapshot::decode(r.data->bytes);
+      if (r.payloads.empty()) continue;
+      r.payloads.front()->wait_ready();
+      const auto remote =
+          obs::MetricsSnapshot::decode(r.payloads.front()->bytes);
       if (!remote) continue;  // version/geometry skew: drop, don't misparse
       if (!seen.insert(remote->host).second) continue;  // same process
       merged.merge(*remote);

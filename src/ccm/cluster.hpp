@@ -29,13 +29,15 @@
 //    ownership transfer) are RPCs through the transport; the handler works
 //    under the target's shard lock plus the directory (a strict shard →
 //    directory lock order, with the directory a leaf). Operations never hold
-//    a shard lock across an RPC, so a thread running a peer's handler on the
-//    direct path holds at most that one shard lock — the lock-order watchdog
-//    reports "direct-call-unlocked" otherwise.
+//    a shard lock across a peer RPC, so a thread running a peer's handler on
+//    the direct path holds at most that one shard lock — the lock-order
+//    watchdog reports "direct-call-unlocked" otherwise.
 //  * In a multi-process cluster the directory "leaf" is itself an RPC to the
-//    home process. The wait-for graph stays acyclic: only the home process
-//    hosts the directory and storage, its handlers never block on another
-//    node, so every blocking chain ends there.
+//    home process, and some are made under a shard lock (acquire_run's claim
+//    and validation batches, make_room_locked, kMasterForward's
+//    claim_forwarded). The wait-for graph stays acyclic: only the home
+//    process hosts the directory and storage, its handlers never block on
+//    another node, so every blocking chain ends there.
 //  * Directory claims are conditional, so racing misses/forwards/writes
 //    resolve by retry instead of blocking; a bounded retry loop falls back
 //    to an uncached storage read for liveness.
@@ -236,6 +238,13 @@ class CcmCluster {
   [[nodiscard]] std::pair<std::uint64_t, bool> published_summary(
       cache::NodeId node) const;
 
+  /// Most blocks one kPeerFetch asks for: the set's mask width
+  /// (proto::kFetchSetSpan), and few enough `block_bytes` blocks that the
+  /// reply frame stays under net::kDefaultMaxFrame and net::kMaxFramePayloads
+  /// iovecs; at least 1. A read fetching more blocks from one master sends
+  /// several sets.
+  [[nodiscard]] static std::size_t fetch_set_cap(std::uint32_t block_bytes);
+
   /// Hinted mode: observed hint accuracy (paper cites ~98% for [18]).
   [[nodiscard]] double hint_accuracy() const { return dir_->hint_accuracy(); }
 
@@ -310,11 +319,11 @@ class CcmCluster {
     std::counting_semaphore<> admission;
   };
 
-  /// A protocol reply: the wire message plus (for fetches and ownership
-  /// transfers) the block bytes riding along.
+  /// A protocol reply: the wire message plus the payloads riding along (a
+  /// fetch's blocks, an ownership transfer's bytes, an encoded answer).
   struct Reply {
     proto::Message msg;
-    BlockPtr data;
+    std::vector<BlockPtr> payloads;
   };
 
   /// Lock-free published view of every shard (forward-target selection).
@@ -393,8 +402,9 @@ class CcmCluster {
   /// order. Each attempt runs over the blocks still unresolved: one
   /// shard-lock pass drains the local hits, one kDirBatch lookup resolves
   /// the misses (hint slots short-circuit it per block), one batch claim
-  /// under the shard lock masters the uncached ones, and fetched copies are
-  /// validated by one batched kValidate under the shard lock before
+  /// under the shard lock masters the uncached ones, one kPeerFetch per
+  /// master fetches the rest as a set (fetch_set_cap), and fetched copies
+  /// are validated by one batched kValidate under the shard lock before
   /// insertion. Blocks that race a transition are retried, up to
   /// kAcquireAttempts passes in all; whatever is left after that is served
   /// by an uncached storage read for liveness.

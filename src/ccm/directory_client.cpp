@@ -113,14 +113,15 @@ std::vector<proto::DirBatchResult> RemoteDirectory::batch_impl(
   net::Envelope env;
   env.msg = proto::Message::dir_batch_request(
       node, home_, static_cast<std::uint32_t>(items.size()), payload.size());
-  env.data = net::make_ready_block(std::move(payload));
+  env.payloads.push_back(net::make_ready_block(std::move(payload)));
   // Same at-least-once contract as ask(): a replayed batch re-executes ops
   // that are individually idempotent or conditional, exactly like replaying
   // each single.
-  net::Envelope reply = net::call_with_retry(*transport_, env);
-  if (reply.msg.kind == proto::MsgKind::kDirBatchReply && reply.data) {
-    reply.data->wait_ready();
-    auto results = proto::decode_dir_batch_reply(reply.data->bytes);
+  const net::Envelope reply = net::call_with_retry(*transport_, env);
+  if (const net::BlockPtr data = reply.payload();
+      reply.msg.kind == proto::MsgKind::kDirBatchReply && data) {
+    data->wait_ready();
+    auto results = proto::decode_dir_batch_reply(data->bytes);
     if (results && results->size() == items.size()) {
       return std::move(*results);
     }

@@ -20,10 +20,11 @@ void RemoteStorage::read(cache::FileId file, std::uint64_t offset,
       proto::Message::storage_read(local_, home_, file, offset, out.size());
   // Bounded retry: a re-read is idempotent and must not hang on a lossy link.
   const net::Envelope reply = net::call_with_retry(*transport_, env);
-  if (!reply.data || reply.data->bytes.size() != out.size()) {
+  const net::BlockPtr data = reply.payload();
+  if (!data || data->bytes.size() != out.size()) {
     throw std::runtime_error("RemoteStorage: short read from home node");
   }
-  std::memcpy(out.data(), reply.data->bytes.data(), out.size());
+  std::memcpy(out.data(), data->bytes.data(), out.size());
 }
 
 void RemoteStorage::write(cache::FileId file, std::uint64_t offset,
@@ -32,8 +33,8 @@ void RemoteStorage::write(cache::FileId file, std::uint64_t offset,
   net::Envelope env;
   env.msg =
       proto::Message::storage_write(local_, home_, file, offset, data.size());
-  env.data = net::make_ready_block(
-      std::vector<std::byte>(data.begin(), data.end()));
+  env.payloads.push_back(net::make_ready_block(
+      std::vector<std::byte>(data.begin(), data.end())));
   // Blocks until the kStorageAck. Retrying a write whose ack was lost
   // re-applies the same bytes at the same offset — idempotent.
   net::call_with_retry(*transport_, env);

@@ -2,13 +2,14 @@
 // message plus the payload bytes (if any) riding with it and the metadata
 // the transport needs to correlate replies and fence forwards.
 //
-// The payload is a shared latch-guarded buffer (BlockData): inside one
-// process both ends of a transfer share the same bytes (a peer-fetch reply
-// hands the requester the master's buffer, a promotion shares it outright);
-// across the wire the sending thread scatter-gathers {frame header, payload}
-// straight from this buffer — the bytes are never copied into an
+// The payloads are shared latch-guarded buffers (BlockData), one per block
+// or storage range a message carries: inside one process both ends of a
+// transfer share the same bytes (a peer-fetch reply hands the requester the
+// master's buffers, a promotion shares one outright); across the wire the
+// sending thread scatter-gathers {frame header, length table, payloads}
+// straight from these buffers — the bytes are never copied into an
 // intermediate frame. That asymmetry is the whole point of the seam — the
-// runtime never knows which it got. Either way only a ready buffer is sent:
+// runtime never knows which it got. Either way only ready buffers are sent:
 // no node ships bytes whose latch is still closed.
 #pragma once
 
@@ -71,9 +72,17 @@ struct Envelope {
   std::uint64_t seq = 0;
   /// Directory invalidation epoch observed by the sender (master forwards).
   std::uint64_t epoch = 0;
-  /// Payload bytes (peer-fetch replies, master forwards, ownership
-  /// transfers, storage traffic); null for pure control messages.
-  BlockPtr data;
+  /// Payload buffers, in the order the message defines: one per block a
+  /// peer-fetch reply ships, one for a master forward, an ownership
+  /// transfer, storage traffic or an encoded batch; empty for pure control
+  /// messages. Every entry is non-null.
+  std::vector<BlockPtr> payloads;
+
+  /// The payload of a message that carries at most one; null when it
+  /// carries none.
+  [[nodiscard]] BlockPtr payload() const {
+    return payloads.empty() ? nullptr : payloads.front();
+  }
 };
 
 }  // namespace coop::net

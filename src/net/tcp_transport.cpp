@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cerrno>
+#include <climits>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -17,6 +18,9 @@
 #include "net/frame.hpp"
 
 namespace coop::net {
+
+static_assert(1 + kMaxFramePayloads <= IOV_MAX,
+              "a frame is sent in one sendmsg of at most IOV_MAX iovecs");
 
 namespace {
 
@@ -316,8 +320,13 @@ bool TcpTransport::post(Envelope env) {
   if (env.msg.to >= config_.nodes) {
     throw std::invalid_argument("TcpTransport: bad destination node");
   }
-  if (env.data && !env.data->is_ready()) {
-    throw std::invalid_argument("TcpTransport: payload is not ready");
+  if (env.payloads.size() > kMaxFramePayloads) {
+    throw std::invalid_argument("TcpTransport: too many payloads");
+  }
+  for (const BlockPtr& p : env.payloads) {
+    if (!p->is_ready()) {
+      throw std::invalid_argument("TcpTransport: payload is not ready");
+    }
   }
   if (env.msg.to == config_.local_node) {
     {
@@ -343,20 +352,22 @@ bool TcpTransport::post(Envelope env) {
   if (summary_set_.load(std::memory_order_acquire)) {
     std::tie(age, full) = summary_();
   }
-  // Scatter-gather framing: the fixed header plus an iovec pointing straight
-  // into the shared BlockData payload buffer, which `env` keeps alive until
-  // the send returns. Payload bytes never copy through an intermediate frame
-  // buffer (TransportStats::payload_copies stays 0 — CI-asserted).
-  FrameHeaderBytes header = encode_frame_header(env, age, full);
-  std::array<iovec, 2> iov{};
-  iov[0] = {header.data(), header.size()};
+  // Scatter-gather framing: the header and length table, then one iovec
+  // per payload pointing straight into its shared BlockData buffer, which
+  // `env` keeps alive until the send returns. Payload bytes never copy
+  // through an intermediate frame buffer (TransportStats::payload_copies
+  // stays 0 — CI-asserted).
+  FrameHeader header = encode_frame_header(env, age, full);
+  std::array<iovec, 1 + kMaxFramePayloads> iov{};
+  iov[0] = {header.bytes.data(), header.size};
   std::size_t iovcnt = 1;
-  if (env.data && !env.data->bytes.empty()) {
-    iov[1] = {const_cast<std::byte*>(env.data->bytes.data()),
-              env.data->bytes.size()};
-    iovcnt = 2;
+  std::size_t total = header.size;
+  for (const BlockPtr& p : env.payloads) {
+    if (p->bytes.empty()) continue;
+    iov[iovcnt++] = {const_cast<std::byte*>(p->bytes.data()),
+                     p->bytes.size()};
+    total += p->bytes.size();
   }
-  const std::size_t total = iov[0].iov_len + iov[1].iov_len;
   bool sent = false;
   {
     util::ScopedLock lock(conn->send_mu);

@@ -11,15 +11,16 @@
 // complete pending call()s, requests land in the inbound mailbox the
 // protocol thread drains) plus the accept thread. There is no writer thread:
 // post() frames its envelope and sendmsg()s it on the caller's own thread,
-// header and payload as two iovecs, under the connection's send lock
+// the header and length table plus one iovec per payload, under the
+// connection's send lock
 // (net.tcp.send[peer]) so concurrent frames never interleave on the wire.
 // Backpressure is the socket itself: a sender blocks while the peer's
 // receive window is full, and a connection whose socket has not taken a
 // whole frame within kSendTimeout (10 s, one deadline across every partial
 // write) is dropped as stalled rather than wedging the sender.
 //
-// Only ready bytes are sent: post() refuses an envelope whose payload latch
-// is still closed, so a send never waits on a producer.
+// Only ready bytes are sent: post() refuses an envelope any of whose
+// payload latches is still closed, so a send never waits on a producer.
 //
 // Connection lifetime: a sender holds a shared_ptr to the connection it
 // writes, and the socket closes only when the last holder lets go, so

@@ -160,10 +160,10 @@ bool InProcTransport::post(Envelope env) {
     throw std::invalid_argument("InProcTransport: bad destination node");
   }
   // Zero-copy contract: a payload-bearing envelope always carries its bytes
-  // as a shared BlockPtr moved through the mailbox — never a fresh buffer
-  // cloned from the sender's copy (payload_copies stays 0 by construction
+  // as shared BlockPtrs moved through the mailbox — never fresh buffers
+  // cloned from the sender's copies (payload_copies stays 0 by construction
   // on this path).
-  assert(env.msg.bytes == 0 || env.data != nullptr);
+  assert(env.msg.bytes == 0 || !env.payloads.empty());
   if (proto::is_reply(env.msg.kind) && env.seq != 0) {
     // Complete the caller blocked in call() directly — replies never take
     // the mailbox hop.

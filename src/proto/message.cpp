@@ -14,26 +14,29 @@ using util::put_u16;
 using util::put_u32;
 using util::put_u64;
 
-Message Message::peer_fetch(NodeId from, NodeId to, const BlockId& b,
-                            bool misdirected) {
+Message Message::peer_fetch(NodeId from, NodeId to, const BlockId& first,
+                            std::uint64_t mask, bool misdirected) {
   Message m;
   m.kind = MsgKind::kPeerFetch;
   m.from = from;
   m.to = to;
-  m.block = b;
+  m.block = first;
+  m.age = mask;
   if (misdirected) m.flags |= kFlagMisdirected;
   return m;
 }
 
-Message Message::peer_fetch_reply(NodeId from, NodeId to, const BlockId& b,
-                                  bool hit, std::uint64_t bytes) {
+Message Message::peer_fetch_reply(NodeId from, NodeId to,
+                                  const BlockId& first, std::uint64_t hits,
+                                  std::uint64_t bytes) {
   Message m;
   m.kind = MsgKind::kPeerFetchReply;
   m.from = from;
   m.to = to;
-  m.block = b;
+  m.block = first;
+  m.age = hits;
   m.bytes = bytes;
-  if (hit) m.flags |= kFlagHit;
+  if (hits != 0) m.flags |= kFlagHit;
   return m;
 }
 
@@ -227,6 +230,12 @@ NodeId Message::dir_result() const {
          "dir_result() is the singles kDirReply convention; kDirBatchReply "
          "results live in the payload");
   return static_cast<NodeId>(count);
+}
+
+std::uint64_t Message::fetch_mask() const {
+  assert((kind == MsgKind::kPeerFetch || kind == MsgKind::kPeerFetchReply) &&
+         "fetch_mask() is the peer-fetch convention");
+  return age;
 }
 
 Message Message::storage_read(NodeId from, NodeId home, FileId file,

@@ -31,8 +31,8 @@ using cache::FileId;
 using cache::NodeId;
 
 enum class MsgKind : std::uint8_t {
-  kPeerFetch = 0,         // requester -> master holder: send me a copy
-  kPeerFetchReply,        // holder -> requester: block bytes (or a miss)
+  kPeerFetch = 0,         // requester -> master holder: send me copies
+  kPeerFetchReply,        // holder -> requester: the bytes it had (or misses)
   kRedirect,              // stale-hint hop: probed node bounces the request
   kHomeRead,              // requester -> home node: read blocks from disk
   kBlockData,             // home -> requester: disk blocks shipped over
@@ -102,6 +102,11 @@ inline constexpr std::uint8_t kFlagDropMaster = 1u << 4;   // invalidate masters
 inline constexpr std::uint8_t kFlagTransferred = 1u << 5;  // ownership moved
 inline constexpr std::uint8_t kFlagGranted = 1u << 6;      // claim succeeded
 
+/// A kPeerFetch names a set of blocks of one file: its first block plus a
+/// mask whose bit i stands for block index first.index + i, so one set
+/// spans at most this many consecutive indices.
+inline constexpr std::uint32_t kFetchSetSpan = 64;
+
 struct Message {
   MsgKind kind = MsgKind::kPeerFetch;
   NodeId from = cache::kInvalidNode;
@@ -114,7 +119,8 @@ struct Message {
   /// their age so they stay eviction candidates at the receiver).
   std::uint64_t age = 0;
   /// Payload size for bulk transfers (kPeerFetchReply, kBlockData,
-  /// kMasterForward); zero for pure control messages.
+  /// kMasterForward), summed over every payload; zero for pure control
+  /// messages.
   std::uint64_t bytes = 0;
   std::uint8_t flags = 0;
   /// Runtime trace propagation (obs/runtime_trace.hpp): the operation's
@@ -133,10 +139,15 @@ struct Message {
   friend bool operator==(const Message&, const Message&) = default;
 
   // ---- named constructors (the only places field conventions live) ----
-  static Message peer_fetch(NodeId from, NodeId to, const BlockId& b,
-                            bool misdirected);
-  static Message peer_fetch_reply(NodeId from, NodeId to, const BlockId& b,
-                                  bool hit, std::uint64_t bytes);
+  // Peer fetch of a block set (see kFetchSetSpan): `age` carries the mask.
+  // The reply echoes `first` and carries the mask of the blocks it ships,
+  // one payload each in ascending index order; kFlagHit is set when it
+  // ships any. A single-block fetch is a set of one.
+  static Message peer_fetch(NodeId from, NodeId to, const BlockId& first,
+                            std::uint64_t mask, bool misdirected);
+  static Message peer_fetch_reply(NodeId from, NodeId to,
+                                  const BlockId& first, std::uint64_t hits,
+                                  std::uint64_t bytes);
   static Message redirect(NodeId from, NodeId to, const BlockId& b);
   static Message home_read(NodeId from, NodeId home, const BlockId& first,
                            std::uint32_t blocks);
@@ -184,6 +195,10 @@ struct Message {
   /// results in the payload, never here — this accessor asserts the kind so
   /// batch replies can't silently be read as a node id through `count`.
   [[nodiscard]] NodeId dir_result() const;
+
+  /// The block set of a kPeerFetch, or the blocks a kPeerFetchReply ships:
+  /// bit i stands for block {block.file, block.index + i}.
+  [[nodiscard]] std::uint64_t fetch_mask() const;
 
   // Remote-storage RPCs: `age` carries the byte offset, `bytes` the length.
   static Message storage_read(NodeId from, NodeId home, FileId file,

@@ -1,8 +1,30 @@
 #include "proto/plan.hpp"
 
+#include <algorithm>
 #include <map>
+#include <utility>
 
 namespace coop::proto {
+
+namespace {
+
+/// The set a group's one peer fetch names: its lowest block, and a mask of
+/// the group's blocks within kFetchSetSpan of it. The simulator charges
+/// hops, not fields, so a group wider than that still costs one fetch.
+std::pair<BlockId, std::uint64_t> fetch_set(const std::vector<BlockId>& blocks) {
+  const BlockId first = *std::min_element(
+      blocks.begin(), blocks.end(),
+      [](const BlockId& a, const BlockId& b) { return a.index < b.index; });
+  std::uint64_t mask = 0;
+  for (const BlockId& b : blocks) {
+    if (b.file == first.file && b.index - first.index < kFetchSetSpan) {
+      mask |= std::uint64_t{1} << (b.index - first.index);
+    }
+  }
+  return {first, mask};
+}
+
+}  // namespace
 
 TransferPlan build_transfer_plan(NodeId requester,
                                  const cache::AccessResult& plan,
@@ -60,20 +82,20 @@ TransferPlan build_transfer_plan(NodeId requester,
     tg.blocks = std::move(g.blocks);
     tg.bytes = g.bytes;
     tg.misdirected = g.misdirected;
-    const BlockId& first = tg.blocks.front();
+    const auto [first, mask] = fetch_set(tg.blocks);
     if (tg.misdirected) {
       // Stale hint: the probe reaches the wrong node, bounces back, and the
       // fetch is re-sent to the true holder — three control hops.
       tg.control.push_back(
-          Message::peer_fetch(requester, provider, first, true));
+          Message::peer_fetch(requester, provider, first, mask, true));
       tg.control.push_back(Message::redirect(provider, requester, first));
       tg.control.push_back(
-          Message::peer_fetch(requester, provider, first, false));
+          Message::peer_fetch(requester, provider, first, mask, false));
     } else {
       tg.control.push_back(
-          Message::peer_fetch(requester, provider, first, false));
+          Message::peer_fetch(requester, provider, first, mask, false));
     }
-    tg.bulk = Message::peer_fetch_reply(provider, requester, first, true,
+    tg.bulk = Message::peer_fetch_reply(provider, requester, first, mask,
                                         tg.bytes);
     out.remote.push_back(std::move(tg));
   }

@@ -528,13 +528,13 @@ TEST(RemoteDirectory, MalformedBatchReplyThrows) {
   const auto throws_on = [](auto reply_of) {
     auto transport = std::make_shared<net::InProcTransport>(2);
     EXPECT_TRUE(transport->serve_direct(0, [&](net::Envelope& env) {
-      const auto req = proto::decode_dir_batch_request(env.data->bytes);
+      const auto req = proto::decode_dir_batch_request(env.payload()->bytes);
       const std::size_t n = req ? req->items.size() : 0;
       std::vector<std::byte> payload = reply_of(n);
       net::Envelope out;
       out.msg = proto::Message::dir_batch_reply(
           0, env.msg.from, static_cast<std::uint32_t>(n), payload.size());
-      out.data = net::make_ready_block(std::move(payload));
+      out.payloads.push_back(net::make_ready_block(std::move(payload)));
       return out;
     }));
     RemoteDirectory remote(transport, /*local=*/1, /*home=*/0);

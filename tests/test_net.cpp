@@ -53,6 +53,28 @@ struct CcmClusterTestPeer {
     }
     return youngest;
   }
+  /// Node `n`'s cached buffer for `b`; null when it caches none.
+  static net::BlockPtr cached(const CcmCluster& c, std::size_t n,
+                              const cache::BlockId& b) {
+    CcmCluster::Shard& sh = *c.shards_[n];
+    util::UniqueLock lock(sh.mu);
+    const auto it = sh.store.find(b);
+    return it == sh.store.end() ? nullptr : it->second;
+  }
+  /// Puts `data` in place of node `n`'s buffer for `b`; returns the old one.
+  static net::BlockPtr swap_cached(const CcmCluster& c, std::size_t n,
+                                   const cache::BlockId& b,
+                                   net::BlockPtr data) {
+    CcmCluster::Shard& sh = *c.shards_[n];
+    util::UniqueLock lock(sh.mu);
+    std::swap(sh.store.at(b), data);
+    return data;
+  }
+  /// Points the hint slot of `b` at `master`.
+  static void plant_hint(CcmCluster& c, const cache::BlockId& b,
+                         cache::NodeId master) {
+    c.hint_publish(b, master, 0);
+  }
 };
 
 }  // namespace coop::ccm
@@ -120,7 +142,7 @@ net::Envelope make_envelope(std::uint64_t seq, std::size_t payload = 0) {
     for (std::size_t i = 0; i < payload; ++i) {
       bytes[i] = static_cast<std::byte>(i & 0xFF);
     }
-    env.data = net::make_ready_block(std::move(bytes));
+    env.payloads.push_back(net::make_ready_block(std::move(bytes)));
   }
   return env;
 }
@@ -156,16 +178,17 @@ TEST(Frame, RoundtripWithAndWithoutPayload) {
   EXPECT_EQ(fa->env.msg.count, 3u);
   EXPECT_EQ(fa->env.seq, 9u);
   EXPECT_EQ(fa->env.epoch, 42u);
-  EXPECT_EQ(fa->env.data, nullptr);
+  EXPECT_TRUE(fa->env.payloads.empty());
   EXPECT_EQ(fa->sender_age, 1234u);
   EXPECT_TRUE(fa->sender_full);
 
   auto fb = reader.next();
   ASSERT_TRUE(fb.has_value());
-  ASSERT_NE(fb->env.data, nullptr);
-  EXPECT_TRUE(fb->env.data->is_ready());  // wire decodes are always ready
-  ASSERT_EQ(fb->env.data->bytes.size(), 96u);
-  EXPECT_EQ(fb->env.data->bytes[95], std::byte{95});
+  ASSERT_EQ(fb->env.payloads.size(), 1u);
+  const net::BlockPtr data = fb->env.payload();
+  EXPECT_TRUE(data->is_ready());  // wire decodes are always ready
+  ASSERT_EQ(data->bytes.size(), 96u);
+  EXPECT_EQ(data->bytes[95], std::byte{95});
   EXPECT_EQ(fb->sender_age, proto::kNoAge);
   EXPECT_FALSE(fb->sender_full);
 
@@ -234,16 +257,87 @@ TEST(Frame, CorruptLengthPrefixPoisons) {
   }
 }
 
+/// make_envelope(seq) carrying one ready payload of each size in `sizes`,
+/// every byte of payload i equal to i + 1.
+net::Envelope make_multi_envelope(std::uint64_t seq,
+                                  const std::vector<std::size_t>& sizes) {
+  net::Envelope env = make_envelope(seq);
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    env.payloads.push_back(net::make_ready_block(std::vector<std::byte>(
+        sizes[i], static_cast<std::byte>(i + 1))));
+  }
+  return env;
+}
+
 TEST(Frame, PayloadLengthDisagreementPoisons) {
-  auto f = net::encode_frame(make_envelope(1, 16), 0, false);
-  // payload_len lives at the end of the fixed header: after the u32 length
-  // prefix, flags/age/seq/epoch and the proto message.
-  const std::size_t payload_len_off = 4 + net::kFrameFixedSize - 4;
-  f[payload_len_off] ^= std::byte{0x01};
-  net::FrameReader reader;
-  EXPECT_FALSE(reader.feed(f));
-  EXPECT_TRUE(reader.poisoned());
-  EXPECT_FALSE(reader.next().has_value());
+  // The payload count ends the fixed header (after the u32 length prefix,
+  // flags/age/seq/epoch and the proto message); the length table follows.
+  constexpr std::size_t kCountOff = 4 + net::kFrameFixedSize - 4;
+  constexpr std::size_t kTableOff = 4 + net::kFrameFixedSize;
+  const auto good = net::encode_frame(make_multi_envelope(1, {16, 9}), 0,
+                                      false);
+  const auto poisons = [](const std::vector<std::byte>& f) {
+    net::FrameReader reader;
+    EXPECT_FALSE(reader.feed(f));
+    EXPECT_TRUE(reader.poisoned());
+    EXPECT_FALSE(reader.next().has_value());
+  };
+  // A per-payload length one past, or one short of, what the frame holds.
+  for (const std::uint8_t len : {std::uint8_t{17}, std::uint8_t{15}}) {
+    auto f = good;
+    f[kTableOff] = std::byte{len};
+    poisons(f);
+  }
+  // A payload count that disagrees with the table the frame holds, or that
+  // no frame may carry.
+  for (const std::uint8_t count : {std::uint8_t{1}, std::uint8_t{3}}) {
+    auto f = good;
+    f[kCountOff] = std::byte{count};
+    poisons(f);
+  }
+  auto f = good;
+  f[kCountOff] = std::byte{net::kMaxFramePayloads + 1};
+  poisons(f);
+}
+
+// A frame of several payloads, one of them empty, followed by a second
+// frame: split into two feeds at every byte boundary, it comes out whole,
+// and nothing stays buffered.
+TEST(Frame, MultiPayloadFrameReassemblesAtEverySplit) {
+  const std::vector<std::size_t> sizes = {40, 0, 300, 7};
+  auto stream = net::encode_frame(make_multi_envelope(1, sizes), 5, true);
+  const std::size_t first_size = stream.size();
+  EXPECT_EQ(first_size, 4 + net::kFrameFixedSize + 4 * sizes.size() + 347);
+  const auto tail = net::encode_frame(make_envelope(2, 3), 6, false);
+  stream.insert(stream.end(), tail.begin(), tail.end());
+  for (std::size_t cut = 0; cut <= stream.size(); ++cut) {
+    net::FrameReader reader;
+    const std::span<const std::byte> all(stream);
+    ASSERT_TRUE(reader.feed(all.first(cut)));
+    // Only a partial frame is buffered.
+    const std::size_t partial = cut < first_size      ? cut
+                                : cut < stream.size() ? cut - first_size
+                                                      : 0;
+    EXPECT_EQ(reader.buffered(), partial) << "cut=" << cut;
+    ASSERT_TRUE(reader.feed(all.subspan(cut)));
+    auto f = reader.next();
+    ASSERT_TRUE(f.has_value()) << "cut=" << cut;
+    EXPECT_EQ(f->env.seq, 1u);
+    EXPECT_EQ(f->sender_age, 5u);
+    ASSERT_EQ(f->env.payloads.size(), sizes.size()) << "cut=" << cut;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      EXPECT_EQ(f->env.payloads[i]->bytes,
+                std::vector<std::byte>(sizes[i],
+                                       static_cast<std::byte>(i + 1)))
+          << "cut=" << cut << " payload=" << i;
+    }
+    auto g = reader.next();
+    ASSERT_TRUE(g.has_value()) << "cut=" << cut;
+    EXPECT_EQ(g->env.seq, 2u);
+    ASSERT_EQ(g->env.payloads.size(), 1u);
+    EXPECT_FALSE(reader.next().has_value());
+    EXPECT_EQ(reader.buffered(), 0u);
+  }
 }
 
 TEST(Frame, GarbageMessageBytesPoisonWithoutDroppingEarlierFrames) {
@@ -281,7 +375,7 @@ net::Envelope make_batch_envelope(std::uint64_t seq, std::size_t items_n) {
       2, 0, static_cast<std::uint32_t>(items.size()), payload.size());
   env.seq = seq;
   env.epoch = 42;
-  env.data = net::make_ready_block(std::move(payload));
+  env.payloads.push_back(net::make_ready_block(std::move(payload)));
   return env;
 }
 
@@ -292,8 +386,8 @@ TEST(Frame, DirBatchPayloadSurvivesFraming) {
   auto f = reader.next();
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->env.msg.kind, proto::MsgKind::kDirBatchRequest);
-  ASSERT_NE(f->env.data, nullptr);
-  const auto req = proto::decode_dir_batch_request(f->env.data->bytes);
+  ASSERT_NE(f->env.payload(), nullptr);
+  const auto req = proto::decode_dir_batch_request(f->env.payload()->bytes);
   ASSERT_TRUE(req.has_value());
   EXPECT_EQ(req->node, 2);
   ASSERT_EQ(req->items.size(), 9u);
@@ -374,11 +468,11 @@ TEST(Frame, SeededFuzzPoisonsButNeverCrashes) {
       while (auto f = reader.next()) {
         ++delivered_frames;
         if (f->env.msg.kind == proto::MsgKind::kDirBatchRequest &&
-            f->env.data != nullptr) {
+            f->env.payload() != nullptr) {
           // Strict payload decode under fuzz: nullopt or a parse whose item
           // count matches its own header — never a crash or over-read.
           if (const auto req =
-                  proto::decode_dir_batch_request(f->env.data->bytes)) {
+                  proto::decode_dir_batch_request(f->env.payload()->bytes)) {
             ++decoded_batches;
             EXPECT_LE(req->items.size(), proto::kDirBatchMaxItems);
           }
@@ -407,7 +501,7 @@ net::Envelope echo_reply(cache::NodeId node, const net::Envelope& env) {
   out.msg = proto::Message::barrier_reply(node, env.msg.from, env.msg.count,
                                           true);
   out.seq = env.seq;
-  out.data = env.data;
+  out.payloads = env.payloads;
   return out;
 }
 
@@ -521,7 +615,7 @@ TEST(InProcTransport, DirectAndQueuedPathsCountTheSame) {
                               static_cast<net::Transport*>(&direct)}) {
       net::Envelope req;
       req.msg = proto::Message::barrier(0, 1, static_cast<std::uint32_t>(i));
-      req.data = net::make_ready_block(std::vector<std::byte>(64));
+      req.payloads.push_back(net::make_ready_block(std::vector<std::byte>(64)));
       EXPECT_EQ(t->call(std::move(req)).msg.count, i);
     }
   }
@@ -630,13 +724,13 @@ TEST(TcpTransport, PairConnectCallAndPayloadRoundtrip) {
   std::thread server([&] { echo_server(*t[1], 1); });
   net::Envelope req;
   req.msg = proto::Message::barrier(0, 1, 9);
-  req.data = net::make_ready_block(
-      std::vector<std::byte>(500, std::byte{0xAB}));
+  req.payloads.push_back(net::make_ready_block(
+      std::vector<std::byte>(500, std::byte{0xAB})));
   const net::Envelope reply = t[0]->call(std::move(req));
   EXPECT_EQ(reply.msg.kind, proto::MsgKind::kBarrierReply);
-  ASSERT_NE(reply.data, nullptr);
-  EXPECT_EQ(reply.data->bytes.size(), 500u);
-  EXPECT_EQ(reply.data->bytes[499], std::byte{0xAB});
+  ASSERT_EQ(reply.payloads.size(), 1u);
+  EXPECT_EQ(reply.payload()->bytes.size(), 500u);
+  EXPECT_EQ(reply.payload()->bytes[499], std::byte{0xAB});
   EXPECT_GE(t[0]->stats().bytes_sent, 500u);
   EXPECT_GE(t[1]->stats().bytes_received, 500u);
 
@@ -655,14 +749,14 @@ TEST(TcpTransport, PostRejectsUnreadyPayloadAndLaterCallsComplete) {
   auto unready = std::make_shared<net::BlockData>();
   net::Envelope oneway;
   oneway.msg = proto::Message::barrier(0, 1, 1);
-  oneway.data = unready;
+  oneway.payloads = {net::make_ready_block({}), unready};
   EXPECT_THROW(t[0]->post(std::move(oneway)), std::invalid_argument);
   EXPECT_EQ(t[0]->stats().sent, 0u);
 
   for (std::uint32_t phase = 2; phase <= 3; ++phase) {
     net::Envelope req;
     req.msg = proto::Message::barrier(0, 1, phase);
-    req.data = net::make_ready_block(std::vector<std::byte>(64));
+    req.payloads.push_back(net::make_ready_block(std::vector<std::byte>(64)));
     EXPECT_EQ(t[0]->call(std::move(req)).msg.count, phase);
   }
   EXPECT_EQ(t[0]->stats().rpcs, 2u);
@@ -1070,6 +1164,191 @@ TEST(ClusterOverTcp, ReadThroughASmallCacheForwardsOnlyFilledMasters) {
   EXPECT_EQ(retries, 0u);
   EXPECT_GT(forwards, 0u);
   shut_down(clusters);
+}
+
+// ------------------------------------------------------------ fetch sets ----
+
+constexpr std::uint32_t kSetBlockBytes = 1024;
+constexpr cache::FileId kSetFile = 0;    // 8 blocks
+constexpr cache::FileId kWideFile = 1;   // more blocks than one set spans
+constexpr cache::FileId kSplitFile = 2;  // 4 blocks
+constexpr std::uint32_t kWideBlocks = proto::kFetchSetSpan + 36;
+
+ccm::CcmConfig fetch_set_config() {
+  ccm::CcmConfig cfg;
+  cfg.nodes = 3;
+  cfg.block_bytes = kSetBlockBytes;
+  cfg.capacity_bytes = 2 * kWideBlocks * kSetBlockBytes;  // holds every file
+  return cfg;
+}
+
+std::shared_ptr<ccm::BufferStorage> fetch_set_storage() {
+  const std::vector<std::uint32_t> sizes = {8 * kSetBlockBytes,
+                                            kWideBlocks * kSetBlockBytes,
+                                            4 * kSetBlockBytes};
+  auto storage = std::make_shared<ccm::BufferStorage>(sizes);
+  for (std::size_t f = 0; f < sizes.size(); ++f) {
+    storage->write(static_cast<cache::FileId>(f), 0,
+                   fill_pattern(sizes[f], static_cast<std::uint8_t>(f + 1)));
+  }
+  return storage;
+}
+
+std::vector<std::byte> file_bytes(const ccm::Storage& storage,
+                                  cache::FileId file) {
+  std::vector<std::byte> out(storage.file_size(file));
+  storage.read(file, 0, out);
+  return out;
+}
+
+/// The cluster that hosts each node: one in-process cluster for all of
+/// them, or one per TCP transport.
+using Hosts = std::vector<ccm::CcmCluster*>;
+
+std::uint64_t peer_fetches(const ccm::CcmCluster& c) {
+  return c.metrics()
+      .snapshot()
+      .rpc[static_cast<std::size_t>(proto::MsgKind::kPeerFetch)]
+      .calls;
+}
+
+std::uint64_t counter(const ccm::CcmCluster& c, obs::RtCounter k) {
+  return c.metrics().snapshot().counters[static_cast<std::size_t>(k)];
+}
+
+/// Node 0 reads `file`, mastering every block, then node 1 reads it;
+/// returns the peer fetches node 1's read sent.
+std::uint64_t fetches_to_reread(const Hosts& hosts,
+                                const ccm::Storage& storage,
+                                cache::FileId file) {
+  const std::vector<std::byte> expected = file_bytes(storage, file);
+  EXPECT_EQ(hosts[0]->read(0, file), expected);
+  const std::uint64_t fetches = peer_fetches(*hosts[1]);
+  const std::uint64_t hits = counter(*hosts[1], obs::RtCounter::kPeerHit);
+  EXPECT_EQ(hosts[1]->read(1, file), expected);
+  EXPECT_EQ(counter(*hosts[1], obs::RtCounter::kPeerHit) - hits,
+            expected.size() / kSetBlockBytes);
+  return peer_fetches(*hosts[1]) - fetches;
+}
+
+/// Node 0 masters blocks 0-2 of kSplitFile and node 2 masters block 3.
+/// Node 0's block 2 is swapped for a buffer still being filled, and node
+/// 1's hint slot names node 0 for block 3. A fetch of all four from node 0
+/// ships blocks 0 and 1 only; node 1's read, which sends node 0 that set,
+/// re-chains the two misses and still returns the file's bytes.
+void unready_and_moved_blocks_miss(const Hosts& hosts,
+                                   net::Transport& node1_transport,
+                                   const ccm::Storage& storage) {
+  const std::vector<std::byte> expected = file_bytes(storage, kSplitFile);
+  const std::span<const std::byte> all(expected);
+  EXPECT_TRUE(std::ranges::equal(
+      hosts[0]->read_range(0, kSplitFile, 0, 3 * kSetBlockBytes),
+      all.first(3 * kSetBlockBytes)));
+  EXPECT_TRUE(std::ranges::equal(
+      hosts[2]->read_range(2, kSplitFile, 3 * kSetBlockBytes, kSetBlockBytes),
+      all.subspan(3 * kSetBlockBytes)));
+  const cache::BlockId filling{kSplitFile, 2};
+  const auto unready = std::make_shared<net::BlockData>();
+  const net::BlockPtr filled =
+      ccm::CcmClusterTestPeer::swap_cached(*hosts[0], 0, filling, unready);
+  ccm::CcmClusterTestPeer::plant_hint(*hosts[1], {kSplitFile, 3}, 0);
+
+  net::Envelope fetch;
+  fetch.msg = proto::Message::peer_fetch(1, 0, {kSplitFile, 0}, 0b1111,
+                                         /*misdirected=*/false);
+  const net::Envelope reply = node1_transport.call(std::move(fetch));
+  EXPECT_EQ(reply.msg.fetch_mask(), 0b0011u);
+  ASSERT_EQ(reply.payloads.size(), 2u);
+  for (std::size_t b = 0; b < 2; ++b) {
+    EXPECT_TRUE(std::ranges::equal(
+        reply.payloads[b]->bytes,
+        all.subspan(b * kSetBlockBytes, kSetBlockBytes)));
+  }
+
+  const std::uint64_t hits = counter(*hosts[1], obs::RtCounter::kPeerHit);
+  const std::uint64_t stale = counter(*hosts[1], obs::RtCounter::kHintStale);
+  const std::uint64_t fallbacks =
+      counter(*hosts[1], obs::RtCounter::kUncachedFallback);
+  EXPECT_EQ(hosts[1]->read(1, kSplitFile), expected);
+  // Blocks 0 and 1 from node 0, block 3 from node 2 once its stale hint
+  // missed; block 2 never became ready, so it came from storage.
+  EXPECT_EQ(counter(*hosts[1], obs::RtCounter::kPeerHit) - hits, 3u);
+  EXPECT_EQ(counter(*hosts[1], obs::RtCounter::kHintStale) - stale, 1u);
+  EXPECT_EQ(counter(*hosts[1], obs::RtCounter::kUncachedFallback) - fallbacks,
+            1u);
+
+  // The fill finishes, leaving every cached block whole.
+  {
+    std::scoped_lock lock(unready->m);
+    unready->bytes = filled->bytes;
+    unready->ready = true;
+  }
+  unready->cv.notify_all();
+}
+
+/// A read fetching `file` from one master sends it one kPeerFetch (two for
+/// kWideFile, which no one set spans), and in-process every copy is the
+/// master's own buffer.
+void in_process_fetch_sets(const std::shared_ptr<net::Transport>& transport) {
+  const auto storage = fetch_set_storage();
+  ccm::CcmHosting hosting;
+  hosting.transport = transport;
+  ccm::CcmCluster cluster(fetch_set_config(), storage, hosting);
+  const Hosts hosts(3, &cluster);
+  EXPECT_EQ(fetches_to_reread(hosts, *storage, kSetFile), 1u);
+  EXPECT_EQ(fetches_to_reread(hosts, *storage, kWideFile), 2u);
+  for (std::uint32_t b = 0; b < 8; ++b) {
+    const net::BlockPtr copy =
+        ccm::CcmClusterTestPeer::cached(cluster, 1, {kSetFile, b});
+    ASSERT_NE(copy, nullptr) << "block " << b;
+    EXPECT_EQ(copy, ccm::CcmClusterTestPeer::cached(cluster, 0,
+                                                     {kSetFile, b}));
+  }
+  unready_and_moved_blocks_miss(hosts, *transport, *storage);
+  EXPECT_TRUE(cluster.check_consistency());
+}
+
+TEST(FetchSets, DirectCallsFetchEachMastersBlocksAtOnce) {
+  in_process_fetch_sets(std::make_shared<net::InProcTransport>(3));
+}
+
+TEST(FetchSets, QueuedCallsFetchEachMastersBlocksAtOnce) {
+  // A fault-free FaultyTransport declines direct binding, so every request
+  // takes the mailbox hop to its node's protocol thread.
+  in_process_fetch_sets(std::make_shared<net::FaultyTransport>(
+      std::make_shared<net::InProcTransport>(3), net::FaultSchedule{}));
+}
+
+TEST(FetchSets, TcpCallsFetchEachMastersBlocksAtOnce) {
+  auto transports = tcp_mesh(3);
+  const auto storage = fetch_set_storage();
+  auto clusters = tcp_clusters(fetch_set_config(), transports, storage);
+  Hosts hosts;
+  for (const auto& c : clusters) hosts.push_back(c.get());
+  EXPECT_EQ(fetches_to_reread(hosts, *storage, kSetFile), 1u);
+  EXPECT_EQ(fetches_to_reread(hosts, *storage, kWideFile), 2u);
+  unready_and_moved_blocks_miss(hosts, *transports[1], *storage);
+  shut_down(clusters);
+  for (std::size_t n = 0; n < transports.size(); ++n) {
+    EXPECT_EQ(transports[n]->stats().payload_copies, 0u) << "node " << n;
+    EXPECT_EQ(transports[n]->stats().frame_errors, 0u) << "node " << n;
+  }
+}
+
+// A set holds at most kFetchSetSpan blocks, and few enough that a reply
+// frame of whole blocks fits the frame ceiling and its iovec budget.
+TEST(FetchSets, CapKeepsEveryReplyFrameWithinLimits) {
+  EXPECT_EQ(ccm::CcmCluster::fetch_set_cap(8 * 1024), proto::kFetchSetSpan);
+  EXPECT_EQ(ccm::CcmCluster::fetch_set_cap(2u << 20), 31u);
+  EXPECT_EQ(ccm::CcmCluster::fetch_set_cap(64u << 20), 1u);
+  for (const std::uint32_t block :
+       {1u << 10, 1u << 20, 3u << 20, 16u << 20, 63u << 20}) {
+    const std::size_t k = ccm::CcmCluster::fetch_set_cap(block);
+    EXPECT_LE(k, net::kMaxFramePayloads);
+    EXPECT_LE(4 + net::kFrameFixedSize + k * (4 + std::size_t{block}),
+              net::kDefaultMaxFrame)
+        << "block " << block;
+  }
 }
 
 }  // namespace

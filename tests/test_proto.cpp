@@ -28,8 +28,8 @@ constexpr std::uint32_t kBlock = 8 * 1024;
 std::vector<Message> all_message_kinds() {
   const BlockId b{7, 3};
   return {
-      Message::peer_fetch(0, 2, b, /*misdirected=*/true),
-      Message::peer_fetch_reply(2, 0, b, /*hit=*/true, 8192),
+      Message::peer_fetch(0, 2, b, /*mask=*/0b1011, /*misdirected=*/true),
+      Message::peer_fetch_reply(2, 0, b, /*hits=*/0b0011, 2 * 8192),
       Message::redirect(2, 0, b),
       Message::home_read(0, 1, b, 4),
       Message::block_data(1, 0, b, 4, 4 * 8192),
@@ -56,15 +56,34 @@ TEST(WireFormat, EveryNamedConstructorRoundTrips) {
   }
 }
 
+// A peer fetch names a block set by its first block and an offset mask; the
+// reply names the blocks it ships the same way, and reports a hit only when
+// it ships any.
+TEST(WireFormat, PeerFetchNamesABlockSet) {
+  const BlockId first{7, 3};
+  const std::uint64_t mask = (std::uint64_t{1} << 63) | 0b101;
+  const Message fetch = Message::peer_fetch(0, 2, first, mask, false);
+  const auto back = decode(encode(fetch));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->block, first);
+  EXPECT_EQ(back->fetch_mask(), mask);
+
+  const Message all = Message::peer_fetch_reply(2, 0, first, 0b100, 8192);
+  EXPECT_TRUE(all.has(kFlagHit));
+  EXPECT_EQ(all.fetch_mask(), 0b100u);
+  const Message none = Message::peer_fetch_reply(2, 0, first, 0, 0);
+  EXPECT_FALSE(none.has(kFlagHit));
+}
+
 TEST(WireFormat, DecodeRejectsShortInput) {
-  const WireBytes wire = encode(Message::peer_fetch(0, 1, {1, 2}, false));
+  const WireBytes wire = encode(Message::peer_fetch(0, 1, {1, 2}, 1, false));
   for (std::size_t len = 0; len < kWireSize; ++len) {
     EXPECT_FALSE(decode({wire.data(), len}).has_value()) << len;
   }
 }
 
 TEST(WireFormat, DecodeRejectsUnknownKind) {
-  WireBytes wire = encode(Message::peer_fetch(0, 1, {1, 2}, false));
+  WireBytes wire = encode(Message::peer_fetch(0, 1, {1, 2}, 1, false));
   wire[0] = static_cast<std::byte>(kMsgKindCount);
   EXPECT_FALSE(decode(wire).has_value());
   wire[0] = static_cast<std::byte>(0xFF);
@@ -72,7 +91,7 @@ TEST(WireFormat, DecodeRejectsUnknownKind) {
 }
 
 TEST(WireFormat, DecodeRejectsReservedFlagBits) {
-  WireBytes wire = encode(Message::peer_fetch(0, 1, {1, 2}, false));
+  WireBytes wire = encode(Message::peer_fetch(0, 1, {1, 2}, 1, false));
   // The flags byte sits just before the trailing trace/span ids.
   wire[kWireSize - 17] = static_cast<std::byte>(1u << 7);  // reserved bit
   EXPECT_FALSE(decode(wire).has_value());
@@ -81,7 +100,7 @@ TEST(WireFormat, DecodeRejectsReservedFlagBits) {
 TEST(WireFormat, TraceIdsRoundTripAndDefaultToZero) {
   // Named constructors never stamp trace identity: the ids stay zero (the
   // runtime's "tracing off" value) unless the sender sets them explicitly.
-  Message m = Message::peer_fetch(0, 2, {7, 3}, false);
+  Message m = Message::peer_fetch(0, 2, {7, 3}, 1, false);
   EXPECT_EQ(m.trace, 0u);
   EXPECT_EQ(m.span, 0u);
   const auto zero_back = decode(encode(m));
@@ -257,6 +276,9 @@ TEST(PlanLowering, CleanRemoteFetchCostsOneControlHop) {
   ASSERT_EQ(g.control.size(), 1u);
   EXPECT_EQ(g.control[0].kind, MsgKind::kPeerFetch);
   EXPECT_FALSE(g.control[0].has(kFlagMisdirected));
+  // The one fetch names the provider's whole set: blocks 1 and 3.
+  EXPECT_EQ(g.control[0].block, (BlockId{9, 1}));
+  EXPECT_EQ(g.control[0].fetch_mask(), 0b101u);
   ASSERT_TRUE(g.bulk.has_value());
   EXPECT_EQ(g.bulk->kind, MsgKind::kPeerFetchReply);
   EXPECT_EQ(g.bulk->bytes, g.bytes);
