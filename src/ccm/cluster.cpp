@@ -6,6 +6,7 @@
 #include <cstring>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -123,6 +124,27 @@ class HandlerSpan {
   const char* name_ = "";
 };
 
+/// Storage for one rpc_all() round of `n` calls: inline for a round of one,
+/// the common case of a read's fetches, so it allocates no more than rpc(),
+/// and nothing at all for an empty round.
+class Round {
+ public:
+  explicit Round(std::size_t n) {
+    if (n == 1) {
+      one_.emplace();
+    } else {
+      many_.resize(n);
+    }
+  }
+  [[nodiscard]] std::span<net::RoundCall> calls() {
+    return one_ ? std::span(&*one_, 1) : std::span(many_);
+  }
+
+ private:
+  std::optional<net::RoundCall> one_;
+  std::vector<net::RoundCall> many_;
+};
+
 }  // namespace
 
 CcmCluster::CcmCluster(const CcmConfig& config,
@@ -228,45 +250,45 @@ void CcmCluster::protocol_loop(cache::NodeId node) {
 
 CcmCluster::Reply CcmCluster::rpc(const proto::Message& msg, BlockPtr data,
                                   std::uint64_t epoch) {
-  net::Envelope env;
-  env.msg = msg;
-  env.epoch = epoch;
-  if (data) env.payloads.push_back(std::move(data));
-  // Runtime tracing: stamp the ambient trace identity into the wire message
-  // (the remote handler adopts it) and time the blocking slice. Stamps are
-  // zero — and skipped entirely — when tracing is off, so deterministic
-  // runs carry a byte-stable protocol.
-  std::uint64_t client_span = 0;
+  net::RoundCall call;
+  call.request.msg = msg;
+  call.request.epoch = epoch;
+  if (data) call.request.payloads.push_back(std::move(data));
+  rpc_all({&call, 1});
+  if (call.error) throw *call.error;
+  return {call.reply.msg, std::move(call.reply.payloads)};
+}
+
+void CcmCluster::rpc_all(std::span<net::RoundCall> calls) {
+  // Runtime tracing: stamp the ambient trace identity and a client span of
+  // its own into each wire message (the remote handler adopts it), and time
+  // each call from the start of the round to its reply, so the slices of
+  // one round overlap. Stamps are zero — and skipped entirely — when
+  // tracing is off, so deterministic runs carry a byte-stable protocol.
   std::uint64_t wall0 = 0;
+  std::uint64_t t0 = 0;
   if (span_log_.enabled()) {
     auto& ctx = obs::tls_trace_context();
     if (ctx.trace == 0) ctx.trace = span_log_.next_id();  // orphan RPC
-    client_span = span_log_.next_id();
-    env.msg.trace = ctx.trace;
-    env.msg.span = client_span;
+    for (net::RoundCall& c : calls) {
+      c.request.msg.trace = ctx.trace;
+      c.request.msg.span = span_log_.next_id();
+    }
     wall0 = obs::runtime_wall_ns();
+    t0 = obs::runtime_now_ns();
   }
   // Bounded retry with backoff: no RPC may hang forever on a lossy link or a
-  // dead peer. Exhausted retries surface as net::TransportError; each call
-  // site absorbs the failure according to the protocol's idempotency rules
-  // (see docs/FAULTS.md).
-  try {
-    net::Envelope reply = net::call_with_retry(*transport_, env);
-    if (client_span != 0) {
-      span_log_.record({env.msg.trace, client_span,
-                        obs::tls_trace_context().span, wall0,
-                        obs::runtime_wall_ns(), msg.from, obs::kLaneRpcClient,
-                        proto::kind_name(msg.kind)});
-    }
-    return {reply.msg, std::move(reply.payloads)};
-  } catch (...) {
-    if (client_span != 0) {
-      span_log_.record({env.msg.trace, client_span,
-                        obs::tls_trace_context().span, wall0,
-                        obs::runtime_wall_ns(), msg.from, obs::kLaneRpcClient,
-                        "rpc-error"});
-    }
-    throw;
+  // dead peer. A request that exhausts its retries keeps its
+  // net::TransportError; each call site absorbs the failure according to
+  // the protocol's idempotency rules (see docs/FAULTS.md).
+  net::call_all_with_retry(*transport_, calls);
+  if (wall0 == 0) return;
+  for (const net::RoundCall& c : calls) {
+    const proto::Message& msg = c.request.msg;
+    span_log_.record({msg.trace, msg.span, obs::tls_trace_context().span,
+                      wall0, wall0 + (c.done_ns - t0), msg.from,
+                      obs::kLaneRpcClient,
+                      c.error ? "rpc-error" : proto::kind_name(msg.kind)});
   }
 }
 
@@ -799,7 +821,10 @@ void CcmCluster::acquire_run(
   std::iota(want.begin(), want.end(), first);
   for (int attempt = 0; attempt < kAcquireAttempts && !want.empty();
        ++attempt) {
-    if (attempt > 0) std::this_thread::yield();
+    if (attempt > 0) {
+      metrics_.incr(obs::RtCounter::kAcquireRetry);
+      std::this_thread::yield();
+    }
     std::vector<std::uint32_t> retry;
 
     // Pass 1 — local hits: all resident blocks share ONE shard-lock
@@ -937,45 +962,65 @@ void CcmCluster::acquire_run(
 
     // Pass 4 — remote hits: ONE kPeerFetch per master asks for every block
     // it holds for this run (a run wider than one set, fetch_set_cap, takes
-    // several), and its reply carries each block the master still had — its
-    // own buffers in-process, one iovec each over TCP. Every miss re-chains
-    // on its own. Then ONE batched validation under the shard lock decides
-    // which copies may be cached.
+    // several), and ONE round carries every set, so a read that needs
+    // several masters waits about one round trip over TCP. Each reply
+    // carries each block the master still had — its own buffers in-process,
+    // one iovec each over TCP. Every miss re-chains on its own. Then ONE
+    // batched validation under the shard lock decides which copies may be
+    // cached.
     const std::size_t set_cap = fetch_set_cap(config_.block_bytes);
     std::sort(to_fetch.begin(), to_fetch.end(),
               [&pending](std::size_t a, std::size_t b) {
                 return std::tie(pending[a].master, pending[a].index) <
                        std::tie(pending[b].master, pending[b].index);
               });
-    std::vector<std::size_t> fetched;
-    for (std::size_t at = 0; at < to_fetch.size();) {
+    // A set is to_fetch[at, set_end(at)): one master's blocks within
+    // kFetchSetSpan of the first, at most set_cap of them.
+    const auto set_end = [&](std::size_t at) {
       const Pending& head = pending[to_fetch[at]];
-      std::uint64_t mask = 0;
-      bool misdirected = false;
-      std::size_t end = at;
+      std::size_t end = at + 1;
       for (; end < to_fetch.size() && end - at < set_cap; ++end) {
         const Pending& p = pending[to_fetch[end]];
         if (p.master != head.master ||
             p.index - head.index >= proto::kFetchSetSpan) {
           break;
         }
+      }
+      return end;
+    };
+    std::size_t sets = 0;
+    for (std::size_t at = 0; at < to_fetch.size(); at = set_end(at)) ++sets;
+    Round round(sets);
+    const std::span<net::RoundCall> fetches = round.calls();
+    for (std::size_t at = 0, s = 0; at < to_fetch.size(); ++s) {
+      const std::size_t end = set_end(at);
+      const Pending& head = pending[to_fetch[at]];
+      std::uint64_t mask = 0;
+      bool misdirected = false;
+      for (std::size_t j = at; j < end; ++j) {
+        const Pending& p = pending[to_fetch[j]];
         mask |= std::uint64_t{1} << (p.index - head.index);
         misdirected |= p.misdirected;
       }
-      std::uint64_t hits = 0;
-      std::vector<BlockPtr> payloads;
-      try {
-        Reply reply = rpc(proto::Message::peer_fetch(
-            node, head.master, {file, head.index}, mask, misdirected));
-        hits = reply.msg.fetch_mask();
-        payloads = std::move(reply.payloads);
-      } catch (const net::TransportError&) {
-        // Master unreachable (crashed, or the link ate every retry): re-read
-        // the directory — a crash purge re-homes the blocks.
-      }
+      fetches[s].request.msg = proto::Message::peer_fetch(
+          node, head.master, {file, head.index}, mask, misdirected);
+      at = end;
+    }
+    if (!fetches.empty()) rpc_all(fetches);
+    std::vector<std::size_t> fetched;
+    for (std::size_t at = 0, s = 0; at < to_fetch.size(); ++s) {
+      const std::size_t end = set_end(at);
+      const Pending& head = pending[to_fetch[at]];
+      net::RoundCall& fetch = fetches[s];
+      const std::uint64_t mask = fetch.request.msg.fetch_mask();
+      // An unreachable master (crashed, or the link ate every retry) ships
+      // nothing, and neither does a reply that does not match its set: the
+      // blocks re-read the directory — a crash purge re-homes them.
+      std::uint64_t hits = fetch.error ? 0 : fetch.reply.msg.fetch_mask();
+      std::vector<BlockPtr>& payloads = fetch.reply.payloads;
       if ((hits & ~mask) != 0 ||
           static_cast<std::size_t>(std::popcount(hits)) != payloads.size()) {
-        hits = 0;  // a reply that does not match its set ships nothing
+        hits = 0;
       }
       std::size_t next = 0;
       for (std::size_t j = at; j < end; ++j) {
@@ -1201,36 +1246,41 @@ void CcmCluster::execute_write(cache::NodeId node, cache::FileId file,
     const cache::NodeId previous = dir_->write_claim(block, node);
     hint_clear(block);
 
-    // 2. Invalidate every peer's (non-master) copy.
+    // 2–3. One round: invalidate every peer's (non-master) copy, and
+    //    migrate ownership (with bytes) from the previous master holder.
+    //    Requests to one peer leave in round order and its protocol thread
+    //    serves them in that order, so the sweep reaches `previous` before
+    //    the ownership request does.
+    const bool migrate = previous != cache::kInvalidNode && previous != node;
+    Round round(config_.nodes - 1 + (migrate ? 1 : 0));
+    const std::span<net::RoundCall> calls = round.calls();
+    std::size_t next = 0;
     for (std::size_t p = 0; p < config_.nodes; ++p) {
       const auto peer = static_cast<cache::NodeId>(p);
       if (peer == node) continue;
-      try {
-        rpc(proto::Message::invalidate_block(node, peer, block,
-                                             /*drop_master=*/false));
-      } catch (const net::TransportError&) {
-        // An unreachable peer under the runtime's fault model is crashed —
-        // its cache (and any stale copy) died with it, and its rejoin starts
-        // cold. Transient losses were already healed by the rpc retries.
-      }
+      calls[next++].request.msg = proto::Message::invalidate_block(
+          node, peer, block, /*drop_master=*/false);
     }
-
-    // 3. Migrate ownership (with bytes) from the previous master holder.
+    if (migrate) {
+      calls[next].request.msg =
+          proto::Message::write_ownership(node, previous, block);
+    }
+    rpc_all(calls);
+    // A failed invalidation is absorbed: an unreachable peer under the
+    // runtime's fault model is crashed — its cache (and any stale copy) died
+    // with it, and its rejoin starts cold. Transient losses were already
+    // healed by the retries. A failed migration proceeds without the
+    // migrated bytes: the read-modify-write base falls back to
+    // post-write-through storage, which already holds the new bytes
+    // (idempotent re-apply).
     BlockPtr migrated;
     bool migrated_in = false;
-    if (previous != cache::kInvalidNode && previous != node) {
-      try {
-        const Reply reply =
-            rpc(proto::Message::write_ownership(node, previous, block));
-        if (reply.msg.has(proto::kFlagTransferred)) {
-          if (!reply.payloads.empty()) migrated = reply.payloads.front();
-          migrated_in = true;
-        }
-      } catch (const net::TransportError&) {
-        // Previous holder unreachable: proceed without the migrated bytes —
-        // the read-modify-write base falls back to post-write-through
-        // storage, which already holds the new bytes (idempotent re-apply).
+    if (migrate && !calls.back().error &&
+        calls.back().reply.msg.has(proto::kFlagTransferred)) {
+      if (!calls.back().reply.payloads.empty()) {
+        migrated = calls.back().reply.payloads.front();
       }
+      migrated_in = true;
     }
 
     // 4. Install the block as a local master and swap in a fresh buffer.
@@ -1318,15 +1368,16 @@ void CcmCluster::invalidate(cache::FileId file) {
   const cache::NodeId self = local_nodes_.front();
   metrics_.incr(obs::RtCounter::kFileInvalidation);
   dir_->invalidate_file(file);
+  Round round(config_.nodes);
+  const std::span<net::RoundCall> calls = round.calls();
   for (std::size_t n = 0; n < config_.nodes; ++n) {
-    try {
-      rpc(proto::Message::invalidate_file(self, static_cast<cache::NodeId>(n),
-                                          file, nblocks));
-    } catch (const net::TransportError&) {
-      // A crashed node holds no cached blocks; the epoch fence above already
-      // blocks any of its in-flight forwards from resurrecting the file.
-    }
+    calls[n].request.msg = proto::Message::invalidate_file(
+        self, static_cast<cache::NodeId>(n), file, nblocks);
   }
+  // A failed sweep request is absorbed: a crashed node holds no cached
+  // blocks, and the epoch fence above already blocks any of its in-flight
+  // forwards from resurrecting the file.
+  rpc_all(calls);
 }
 
 // ------------------------------------------------------------- barrier ----
@@ -1465,22 +1516,24 @@ obs::MetricsSnapshot CcmCluster::scrape_cluster() {
   // pulling from every node and deduping by that id collapses the per-node
   // fan-out back to one snapshot per process without a membership service.
   std::set<std::uint32_t> seen{merged.host};
-  for (std::size_t n = 0; n < config_.nodes; ++n) {
+  Round round(config_.nodes - local_nodes_.size());
+  const std::span<net::RoundCall> pulls = round.calls();
+  for (std::size_t n = 0, k = 0; n < config_.nodes; ++n) {
     if (shards_[n]) continue;  // hosted here: already in the local snapshot
-    try {
-      Reply r = rpc(proto::Message::stats_pull(
-          self, static_cast<cache::NodeId>(n)));
-      if (r.payloads.empty()) continue;
-      r.payloads.front()->wait_ready();
-      const auto remote =
-          obs::MetricsSnapshot::decode(r.payloads.front()->bytes);
-      if (!remote) continue;  // version/geometry skew: drop, don't misparse
-      if (!seen.insert(remote->host).second) continue;  // same process
-      merged.merge(*remote);
-    } catch (const net::TransportError&) {
-      // A dead or partitioned peer costs its slice of the report, not the
-      // scrape; the `processes` count in the output records the coverage.
-    }
+    pulls[k++].request.msg =
+        proto::Message::stats_pull(self, static_cast<cache::NodeId>(n));
+  }
+  rpc_all(pulls);
+  for (const net::RoundCall& pull : pulls) {
+    // A dead or partitioned peer costs its slice of the report, not the
+    // scrape; the `processes` count in the output records the coverage.
+    if (pull.error || pull.reply.payloads.empty()) continue;
+    const BlockPtr& data = pull.reply.payloads.front();
+    data->wait_ready();
+    const auto remote = obs::MetricsSnapshot::decode(data->bytes);
+    if (!remote) continue;  // version/geometry skew: drop, don't misparse
+    if (!seen.insert(remote->host).second) continue;  // same process
+    merged.merge(*remote);
   }
   return merged;
 }

@@ -32,6 +32,11 @@
 //    a shard lock across a peer RPC, so a thread running a peer's handler on
 //    the direct path holds at most that one shard lock — the lock-order
 //    watchdog reports "direct-call-unlocked" otherwise.
+//  * Independent requests to several nodes go out as one round (rpc_all):
+//    a write's invalidation sweep with its ownership migration, a file
+//    invalidation's sweep, a read's per-master fetch sets and the metrics
+//    scrape. A round is issued outside every shard lock, like any RPC; over
+//    TCP it costs about one round trip instead of one per request.
 //  * In a multi-process cluster the directory "leaf" is itself an RPC to the
 //    home process, and some are made under a shard lock (acquire_run's claim
 //    and validation batches, make_room_locked, kMasterForward's
@@ -55,6 +60,7 @@
 #include <optional>
 #include <semaphore>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -362,10 +368,18 @@ class CcmCluster {
   Reply handle_directory(cache::NodeId self, const proto::Message& msg);
 
   /// Sends `msg` to its destination node and awaits the reply; in-process
-  /// the destination's handler runs on this thread. Callers must not hold
-  /// any lock.
+  /// the destination's handler runs on this thread. A round of one:
+  /// throws the net::TransportError its retries ended in. Callers must not
+  /// hold any lock.
   Reply rpc(const proto::Message& msg, BlockPtr data = nullptr,
             std::uint64_t epoch = 0);
+
+  /// One round of independent requests (net::Transport::call_all), each
+  /// retried alone under call_all_with_retry's budget; a request that still
+  /// fails keeps its error. Over TCP every request leaves before any reply
+  /// is awaited; in-process they run in order on this thread. Records one
+  /// rpc-client span per call when tracing. Callers must not hold any lock.
+  void rpc_all(std::span<net::RoundCall> calls);
 
   /// The hosted shard behind a public-API `via`; throws on a node this
   /// process does not serve.

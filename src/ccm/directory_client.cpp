@@ -11,7 +11,7 @@ proto::Message RemoteDirectory::ask(const proto::Message& request) {
   // and every kDir* operation RemoteDirectory issues is idempotent or
   // conditional at the service (see DirectoryService), so a re-ask whose
   // first reply was lost is safe.
-  return net::call_with_retry(*transport_, env).msg;
+  return net::call_with_retry(*transport_, std::move(env)).msg;
 }
 
 proto::DirBatchResult RemoteDirectory::ask_one(cache::NodeId node,
@@ -117,7 +117,8 @@ std::vector<proto::DirBatchResult> RemoteDirectory::batch_impl(
   // Same at-least-once contract as ask(): a replayed batch re-executes ops
   // that are individually idempotent or conditional, exactly like replaying
   // each single.
-  const net::Envelope reply = net::call_with_retry(*transport_, env);
+  const net::Envelope reply =
+      net::call_with_retry(*transport_, std::move(env));
   if (const net::BlockPtr data = reply.payload();
       reply.msg.kind == proto::MsgKind::kDirBatchReply && data) {
     data->wait_ready();

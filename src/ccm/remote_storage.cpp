@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace coop::ccm {
 
@@ -19,7 +20,8 @@ void RemoteStorage::read(cache::FileId file, std::uint64_t offset,
   env.msg =
       proto::Message::storage_read(local_, home_, file, offset, out.size());
   // Bounded retry: a re-read is idempotent and must not hang on a lossy link.
-  const net::Envelope reply = net::call_with_retry(*transport_, env);
+  const net::Envelope reply =
+      net::call_with_retry(*transport_, std::move(env));
   const net::BlockPtr data = reply.payload();
   if (!data || data->bytes.size() != out.size()) {
     throw std::runtime_error("RemoteStorage: short read from home node");
@@ -37,7 +39,7 @@ void RemoteStorage::write(cache::FileId file, std::uint64_t offset,
       std::vector<std::byte>(data.begin(), data.end())));
   // Blocks until the kStorageAck. Retrying a write whose ack was lost
   // re-applies the same bytes at the same offset — idempotent.
-  net::call_with_retry(*transport_, env);
+  net::call_with_retry(*transport_, std::move(env));
 }
 
 }  // namespace coop::ccm

@@ -47,7 +47,7 @@ const char* action_name(FaultAction action) {
 // ---- kinds the generated schedules are allowed to touch ----
 //
 // The bar (docs/FAULTS.md has the per-kind analysis): a dropped request is
-// re-sent by call_with_retry, so the kind must tolerate at-least-once
+// re-sent by call_all_with_retry, so the kind must tolerate at-least-once
 // delivery; a dropped *reply* re-executes a request the peer already
 // processed, so the kind must additionally be idempotent at the receiver.
 // Kinds that are neither (dir-write-claim, dir-write-begin/end) are never

@@ -17,7 +17,9 @@
 //
 // Injection happens on the send side only (post() and both phases of
 // call()); receive() passes through untouched, so a wrapped transport keeps
-// the inner delivery semantics for whatever survives the schedule.
+// the inner delivery semantics for whatever survives the schedule. A round
+// (call_all) keeps the base class's default: its calls go through
+// call_impl one at a time, in round order, so the log stays replayable.
 #pragma once
 
 #include <chrono>

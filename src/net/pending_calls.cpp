@@ -95,4 +95,9 @@ std::uint64_t PendingCalls::timeouts() const {
   return timeouts_;
 }
 
+std::size_t PendingCalls::outstanding() const {
+  util::ScopedLock lock(mu_);
+  return calls_.size();
+}
+
 }  // namespace coop::net

@@ -50,6 +50,8 @@ class PendingCalls {
   /// Calls wait() returned a reply for, and calls whose deadline expired.
   [[nodiscard]] std::uint64_t completed() const;
   [[nodiscard]] std::uint64_t timeouts() const;
+  /// Calls opened and not yet collected by wait() or cancel().
+  [[nodiscard]] std::size_t outstanding() const;
 
  private:
   enum class State : std::uint8_t { kWaiting, kAnswered, kPeerDown, kShutdown };

@@ -8,6 +8,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <climits>
@@ -301,19 +302,69 @@ void TcpTransport::drop_connection(Connection& conn, bool frame_error) {
 }
 
 Envelope TcpTransport::call_impl(Envelope env) {
-  pending_.open(env);
-  const std::uint64_t seq = env.seq;
-  const cache::NodeId dest = env.msg.to;
-  if (!post(std::move(env))) {
-    pending_.cancel(seq);
-    if (closed_) {
-      throw TransportError(TransportError::Kind::kShutdown,
-                           "transport is shut down");
+  RoundCall call;
+  call.request = std::move(env);
+  call_all_impl({&call, 1});
+  if (call.error) throw *call.error;
+  return std::move(call.reply);
+}
+
+void TcpTransport::call_all_impl(std::span<RoundCall> calls) {
+  // Every call of the round shares one deadline, measured from its start.
+  const auto deadline =
+      std::chrono::steady_clock::now() + config_.call_timeout;
+  // Open and post every call before waiting for any reply. A call's seq
+  // rides in its reply envelope until the reply itself lands there.
+  std::size_t opened = 0;  // calls[0, opened) may hold a pending entry
+  try {
+    for (RoundCall& c : calls) {
+      c.error.reset();
+      c.reply.seq = 0;
+      ++opened;
+      Envelope env = c.request;
+      try {
+        pending_.open(env);
+      } catch (const TransportError& e) {
+        c.error = e;  // closed: every later open fails the same way
+        continue;
+      }
+      c.reply.seq = env.seq;
+      const cache::NodeId dest = env.msg.to;
+      if (!post(std::move(env))) {
+        pending_.cancel(c.reply.seq);
+        if (closed_) {
+          c.error.emplace(TransportError::Kind::kShutdown,
+                          "transport is shut down");
+        } else {
+          c.error.emplace(TransportError::Kind::kPeerDown,
+                          "peer " + std::to_string(dest) + " is unreachable");
+        }
+      }
     }
-    throw TransportError(TransportError::Kind::kPeerDown,
-                         "peer " + std::to_string(dest) + " is unreachable");
+    // Collect in round order: a reply that lands early waits in its entry,
+    // and a call to a peer dropped meanwhile has already failed.
+    for (RoundCall& c : calls) {
+      if (!c.error) {
+        try {
+          const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+              deadline - std::chrono::steady_clock::now());
+          c.reply = pending_.wait(
+              c.reply.seq, std::max(left, std::chrono::milliseconds{0}));
+        } catch (const TransportError& e) {
+          c.error = e;
+        }
+      }
+      c.done_ns = obs::runtime_now_ns();
+    }
+  } catch (...) {
+    // post() refused a malformed envelope, or an allocation failed: no
+    // entry of this round may outlive it (cancelling a collected or never
+    // opened call is a no-op).
+    for (std::size_t i = 0; i < opened; ++i) {
+      pending_.cancel(calls[i].reply.seq);
+    }
+    throw;
   }
-  return pending_.wait(seq, config_.call_timeout);
 }
 
 bool TcpTransport::post(Envelope env) {

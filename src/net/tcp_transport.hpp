@@ -22,6 +22,13 @@
 // Only ready bytes are sent: post() refuses an envelope any of whose
 // payload latches is still closed, so a send never waits on a producer.
 //
+// Rounds: call_all() opens a pending entry for every call of the round and
+// posts every frame before it waits for any reply, then collects the
+// replies in round order under one deadline measured from the start of the
+// round; call() is a round of one. Frames to one peer leave in round order
+// on its one connection, and the peer's single protocol thread serves them
+// in that order. No pending entry outlives its round, whatever fails.
+//
 // Connection lifetime: a sender holds a shared_ptr to the connection it
 // writes, and the socket closes only when the last holder lets go, so
 // reaping a dead connection never frees or closes a socket mid-send. A
@@ -44,6 +51,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,8 +117,19 @@ class TcpTransport final : public Transport {
   /// rendezvous).
   [[nodiscard]] std::size_t connected_peers() const;
 
+  /// Calls whose pending entry is still open: 0 whenever no call or round
+  /// is in progress.
+  [[nodiscard]] std::size_t calls_in_flight() const {
+    return pending_.outstanding();
+  }
+
  protected:
+  /// A round of one.
   Envelope call_impl(Envelope env) override;
+  /// Opens a pending entry for every call and posts every frame, then
+  /// collects the replies in round order under one deadline that runs
+  /// from the start of the round.
+  void call_all_impl(std::span<RoundCall> calls) override;
 
  private:
   struct Connection {

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "util/audit.hpp"
 #include "util/lockcheck.hpp"
@@ -52,38 +53,87 @@ Envelope Transport::call(Envelope env) {
   }
 }
 
+void Transport::call_all(std::span<RoundCall> calls) {
+  auto* m = metrics_.load(std::memory_order_acquire);
+  const std::uint64_t t0 = m != nullptr ? obs::runtime_now_ns() : 0;
+  call_all_impl(calls);
+  if (m == nullptr) return;
+  for (const RoundCall& c : calls) {
+    const auto kind = static_cast<std::uint8_t>(c.request.msg.kind);
+    if (c.error) {
+      m->record_rpc_error(kind, c.done_ns - t0);
+    } else {
+      m->record_rpc(kind, c.done_ns - t0,
+                    c.request.msg.bytes + c.reply.msg.bytes);
+    }
+  }
+}
+
+void Transport::call_all_impl(std::span<RoundCall> calls) {
+  for (RoundCall& c : calls) {
+    c.error.reset();
+    try {
+      c.reply = call_impl(c.request);
+    } catch (const TransportError& e) {
+      c.error = e;
+    }
+    c.done_ns = obs::runtime_now_ns();
+  }
+}
+
 namespace {
 
-/// call_with_retry's budget (see its comment in transport.hpp); the backoff
-/// doubles per retry up to the cap.
+/// call_all_with_retry's budget (see its comment in transport.hpp); the
+/// backoff doubles per retry round up to the cap.
 constexpr int kRetryAttempts = 4;
 constexpr std::chrono::milliseconds kRetryBackoff{2};
 constexpr std::chrono::milliseconds kRetryMaxBackoff{100};
 
 }  // namespace
 
-Envelope call_with_retry(Transport& transport, const Envelope& env) {
-  auto backoff = kRetryBackoff;
-  for (int attempt = 1;; ++attempt) {
-    try {
-      // Fresh copy per attempt: call() stamps a new seq, and the previous
-      // attempt's envelope was consumed (the payload pointer is shared, so
-      // re-sends stay cheap).
-      return transport.call(env);
-    } catch (const TransportError& e) {
-      if (!e.transient() || attempt >= kRetryAttempts) {
-        if (auto* m = transport.metrics()) {
-          m->incr(obs::RtCounter::kRpcFailure);
-        }
-        throw;
-      }
+void call_all_with_retry(Transport& transport, std::span<RoundCall> calls) {
+  transport.call_all(calls);
+  // Indices into `calls` of the requests the next round re-sends. Every
+  // request in one round has made the same number of attempts.
+  std::vector<std::size_t> resend;
+  const auto settle = [&](std::size_t i, int attempt) {
+    const RoundCall& c = calls[i];
+    if (!c.error) return;
+    if (c.error->transient() && attempt < kRetryAttempts) {
+      resend.push_back(i);
+    } else if (auto* m = transport.metrics()) {
+      m->incr(obs::RtCounter::kRpcFailure);
     }
-    if (auto* m = transport.metrics()) {
-      m->record_retry(static_cast<std::uint8_t>(env.msg.kind));
+  };
+  for (std::size_t i = 0; i < calls.size(); ++i) settle(i, 1);
+  auto backoff = kRetryBackoff;
+  for (int attempt = 2; !resend.empty(); ++attempt) {
+    // The failed requests, copied into one contiguous round (the payload
+    // pointers are shared, so the copies stay cheap).
+    std::vector<RoundCall> round(resend.size());
+    for (std::size_t k = 0; k < resend.size(); ++k) {
+      round[k].request = calls[resend[k]].request;
+      if (auto* m = transport.metrics()) {
+        m->record_retry(static_cast<std::uint8_t>(round[k].request.msg.kind));
+      }
     }
     std::this_thread::sleep_for(backoff);
     backoff = std::min(backoff * 2, kRetryMaxBackoff);
+    transport.call_all(round);
+    const std::vector<std::size_t> sent = std::exchange(resend, {});
+    for (std::size_t k = 0; k < sent.size(); ++k) {
+      calls[sent[k]] = std::move(round[k]);
+      settle(sent[k], attempt);
+    }
   }
+}
+
+Envelope call_with_retry(Transport& transport, Envelope env) {
+  RoundCall call;
+  call.request = std::move(env);
+  call_all_with_retry(transport, {&call, 1});
+  if (call.error) throw *call.error;
+  return std::move(call.reply);
 }
 
 InProcTransport::InProcTransport(std::size_t nodes,

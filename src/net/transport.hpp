@@ -1,17 +1,20 @@
 // The pluggable node-to-node transport behind the middleware runtime.
 //
 // CcmCluster speaks only this interface: client operations issue blocking
-// RPCs with call(), protocol threads pull requests with receive() and answer
-// with post(). Two implementations exist:
+// RPCs with call(), or a round of independent RPCs to several nodes with
+// call_all(); protocol threads pull requests with receive() and answer with
+// post(). Two implementations exist:
 //
 //  * InProcTransport — every node lives in this process. A node bound with
 //    serve_direct() has its handler run on the caller's thread inside
 //    call(); an unbound node is reached by a Mailbox<Envelope> hop to its
-//    protocol thread. Payloads are shared by pointer either way.
+//    protocol thread. Payloads are shared by pointer either way. A round
+//    runs its calls one after another, in order.
 //  * TcpTransport (tcp_transport.hpp) — this process hosts one node; peers
 //    are separate processes reached over length-prefixed frames on real
 //    sockets (127.0.0.1 in the loopback cluster, anything routable in
-//    general).
+//    general). A round sends every request before it waits for any reply,
+//    so it costs about one round trip, not one per call.
 //
 // Reply routing is the transport's job: an envelope whose kind satisfies
 // proto::is_reply() completes the pending call() with the matching seq
@@ -31,6 +34,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -52,11 +56,11 @@ namespace coop::net {
 /// and sends that fail, count as sent without a flush). The injected_*
 /// fields are filled only by FaultyTransport (net/fault.hpp). No transport
 /// fills rpc_retries or rpc_failures: CcmCluster::stats() sets them from the
-/// metrics registry, where call_with_retry records them.
+/// metrics registry, where call_all_with_retry records them.
 struct TransportStats {
   std::uint64_t sent = 0;            // envelopes handed to the transport
   std::uint64_t received = 0;        // envelopes delivered (incl. replies)
-  std::uint64_t rpcs = 0;            // call() round trips completed
+  std::uint64_t rpcs = 0;            // calls answered (call() or a round)
   std::uint64_t bytes_sent = 0;      // framed bytes written (TCP)
   std::uint64_t bytes_received = 0;  // framed bytes read (TCP)
   std::uint64_t flushes = 0;         // frames written to a peer (TCP)
@@ -66,7 +70,7 @@ struct TransportStats {
   std::uint64_t injected_duplicates = 0; // messages delivered twice
   std::uint64_t injected_reorders = 0;   // messages swapped with a successor
   std::uint64_t rpc_timeouts = 0;    // call() deadlines that expired
-  std::uint64_t rpc_retries = 0;     // call_with_retry re-attempts
+  std::uint64_t rpc_retries = 0;     // call_all_with_retry re-sends
   std::uint64_t rpc_failures = 0;    // retry budgets exhausted -> error
   /// Send-side payload buffer copies. The zero-copy contract keeps this at 0
   /// on every transport: in-proc delivery forwards the shared BlockPtr, and
@@ -104,6 +108,18 @@ class TransportError : public std::runtime_error {
   Kind kind_;
 };
 
+/// One call of a call_all() round. The caller fills `request`; the round
+/// reads it without consuming it (so a retry can re-send it) and sets either
+/// `reply` or `error`.
+struct RoundCall {
+  Envelope request;
+  Envelope reply;
+  std::optional<TransportError> error;
+  /// obs::runtime_now_ns() when the round collected this call's reply or
+  /// error; call_all() times each call from the round's start to here.
+  std::uint64_t done_ns = 0;
+};
+
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -118,6 +134,18 @@ class Transport {
   /// per round trip (errors included). With no registry the cost is one
   /// relaxed load.
   Envelope call(Envelope env);
+
+  /// A round of independent calls, each to its own request's destination:
+  /// returns once every call has its reply or its error, each failing alone
+  /// (a TransportError lands in that call's `error`; anything else
+  /// propagates). On a transport that overlaps them the round waits about
+  /// as long as its slowest call, not the sum. Requests to one destination
+  /// leave in round order. Issue a round outside every lock, like call().
+  ///
+  /// Non-virtual telemetry wrapper around call_all_impl(): one per-MsgKind
+  /// sample per call, timed from the start of the round to that call's
+  /// reply.
+  void call_all(std::span<RoundCall> calls);
 
   /// One-way delivery to env.msg.to (replies, fire-and-forget posts).
   /// False when the destination is closed.
@@ -162,13 +190,13 @@ class Transport {
     return false;
   }
 
-  /// Installs the registry call() records RPC samples into (nullptr turns
-  /// recording off). Install on the *outermost* transport only — a
-  /// decorator (FaultyTransport) delegates to the inner transport's
-  /// call_impl via call(), which stays silent while the inner registry is
-  /// null, so samples are never double-counted. The pointer must outlive
-  /// the transport's traffic; callers may install it while calls are in
-  /// flight (atomic).
+  /// Installs the registry call() and call_all() record RPC samples into
+  /// (nullptr turns recording off). Install on the *outermost* transport
+  /// only — a decorator (FaultyTransport) delegates to the inner
+  /// transport's call_impl via call(), which stays silent while the inner
+  /// registry is null, so samples are never double-counted. The pointer
+  /// must outlive the transport's traffic; callers may install it while
+  /// calls are in flight (atomic).
   void set_metrics(obs::MetricsRegistry* metrics) {
     metrics_.store(metrics, std::memory_order_release);
   }
@@ -180,20 +208,34 @@ class Transport {
   /// The actual blocking round trip (see call()).
   virtual Envelope call_impl(Envelope env) = 0;
 
+  /// The round behind call_all(); it stamps each call's done_ns. The
+  /// default runs the calls through call_impl one at a time, in order: what
+  /// InProcTransport needs (its direct path serves a call on the caller's
+  /// thread anyway) and what a decorator gets, so FaultyTransport's event
+  /// log stays replayable. TcpTransport overrides it to send every request
+  /// before it waits for any reply.
+  virtual void call_all_impl(std::span<RoundCall> calls);
+
  private:
   std::atomic<obs::MetricsRegistry*> metrics_{nullptr};
 };
 
-/// Issues `env` through transport.call(), re-attempting on transient
-/// TransportErrors: 4 attempts in all, with a geometric backoff from 2 ms
+/// Issues a round through transport.call_all(), then re-sends each request
+/// that failed with a transient TransportError, alone with the others that
+/// failed, as a smaller round. Every request has the same budget: 4
+/// attempts in all, with a geometric backoff between rounds from 2 ms
 /// capped at 100 ms — enough to ride out a few injected drops or a
 /// send-window partition without masking a dead peer for more than about a
-/// quarter second. Each attempt re-sends a fresh copy, so the request must be
-/// idempotent or tolerated as at-least-once (docs/FAULTS.md has the per-kind
-/// analysis). Non-transient errors and exhausted budgets propagate the last
-/// error. With a registry installed on `transport`, each re-attempt counts
-/// in its kind's `retries` and each exhausted budget in `rpc-failures`.
-Envelope call_with_retry(Transport& transport, const Envelope& env);
+/// quarter second. A request whose error is final or whose budget is spent
+/// keeps that error in its `error`. A re-sent request may execute twice,
+/// so it must be idempotent or tolerated as at-least-once (docs/FAULTS.md
+/// has the per-kind analysis). With a registry installed on
+/// `transport`, each re-send counts in its kind's `retries` and each request
+/// left failed in `rpc-failures`.
+void call_all_with_retry(Transport& transport, std::span<RoundCall> calls);
+
+/// call_all_with_retry's round of one: the reply, or the last error thrown.
+Envelope call_with_retry(Transport& transport, Envelope env);
 
 /// All nodes in one process. A node bound with serve_direct() is served on
 /// the caller's thread — no mailbox, pending-table entry, condition

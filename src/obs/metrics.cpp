@@ -49,6 +49,7 @@ const char* rt_counter_name(RtCounter c) {
     case RtCounter::kHintStale: return "hint-stale";
     case RtCounter::kRpcFailure: return "rpc-failures";
     case RtCounter::kStatsScrape: return "stats-scrapes";
+    case RtCounter::kAcquireRetry: return "acquire-retries";
     case RtCounter::kCount: break;
   }
   return "unknown";

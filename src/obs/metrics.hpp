@@ -67,8 +67,9 @@ enum class RtCounter : std::uint8_t {
   kFileInvalidation,  // invalidate() calls made here
   kHintHit,           // hint slot answered a directory lookup
   kHintStale,         // a hinted master failed its fetch or validation
-  kRpcFailure,        // call_with_retry gave up: budget spent or error final
+  kRpcFailure,        // a request left failed: retries spent or error final
   kStatsScrape,       // scrapes started + kStatsPull requests answered
+  kAcquireRetry,      // read passes re-attempting blocks that raced
   kCount,
 };
 
@@ -98,7 +99,7 @@ struct RpcKindSnapshot {
   HistSnapshot latency_ns;
   std::uint64_t calls = 0;    // completed round trips
   std::uint64_t bytes = 0;    // payload bytes moved (request + reply)
-  std::uint64_t retries = 0;  // call_with_retry re-attempts
+  std::uint64_t retries = 0;  // call_all_with_retry re-sends
   std::uint64_t errors = 0;   // calls that ended in a TransportError
 
   void merge(const RpcKindSnapshot& other);
@@ -109,8 +110,9 @@ struct RpcKindSnapshot {
 /// renumbering of proto::MsgKind is a layout change (v2: five unused
 /// directory kinds removed; v3: the four single directory kinds a
 /// kDirBatchRequest carries removed; v4: counter slots now one per event —
-/// claims and op counts dropped, hint and rpc-failure counts added).
-inline constexpr std::uint32_t kMetricsVersion = 4;
+/// claims and op counts dropped, hint and rpc-failure counts added; v5:
+/// acquire-retries appended).
+inline constexpr std::uint32_t kMetricsVersion = 5;
 
 /// One process's (or, after merging, one cluster's) runtime metrics.
 struct MetricsSnapshot {

@@ -28,7 +28,7 @@ namespace coop::obs {
 
 /// Display lanes (Perfetto tid) runtime spans are grouped into.
 inline constexpr std::uint8_t kLaneOp = 0;         // whole read/write op
-inline constexpr std::uint8_t kLaneRpcClient = 1;  // blocking call() slice
+inline constexpr std::uint8_t kLaneRpcClient = 1;  // one call of a round
 inline constexpr std::uint8_t kLaneHandler = 2;    // protocol-thread handler
 
 /// One completed wall-clock slice.

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -279,6 +280,47 @@ TEST(FaultyTransport, RetryGivesUpAfterBudgetAndCountsFailure) {
   EXPECT_EQ(barrier_retries(metrics), 3u);  // attempts - 1
   EXPECT_EQ(rpc_failures(metrics), 1u);
   EXPECT_EQ(t.stats().injected_drops, 4u);
+  t.close();
+}
+
+// A round re-sends only the requests that failed, each under its own
+// budget: a dropped request costs one retry, and a request dropped on every
+// attempt keeps its error and counts one failure while its round-mate is
+// answered.
+TEST(FaultyTransport, RoundResendsOnlyItsFailedRequests) {
+  obs::MetricsRegistry metrics;
+  net::FaultyTransport t(
+      std::make_shared<net::InProcTransport>(3),
+      net::FaultSchedule::parse(
+          "drop:kind=barrier,to=1,start=1,count=1;drop:kind=barrier,to=2"));
+  t.set_metrics(&metrics);
+  CountingEchoServer server(t);
+
+  std::array<net::RoundCall, 3> round;
+  for (std::uint32_t i = 0; i < round.size(); ++i) {
+    round[i].request = barrier_to_1(i + 1);
+  }
+  net::call_all_with_retry(t, round);
+  for (std::uint32_t i = 0; i < round.size(); ++i) {
+    ASSERT_FALSE(round[i].error) << round[i].error->what();
+    EXPECT_EQ(round[i].reply.msg.count, i + 1);
+  }
+  EXPECT_EQ(barrier_retries(metrics), 1u);
+  EXPECT_EQ(rpc_failures(metrics), 0u);
+  EXPECT_EQ(server.handled(), 3u);
+
+  std::array<net::RoundCall, 2> mixed;
+  mixed[0].request = barrier_to_1(4);
+  mixed[1].request.msg = proto::Message::barrier(0, 2, 5);
+  net::call_all_with_retry(t, mixed);
+  ASSERT_FALSE(mixed[0].error) << mixed[0].error->what();
+  EXPECT_EQ(mixed[0].reply.msg.count, 4u);
+  ASSERT_TRUE(mixed[1].error);
+  EXPECT_EQ(mixed[1].error->kind(), net::TransportError::Kind::kInjected);
+  EXPECT_EQ(barrier_retries(metrics), 1u + 3u);  // attempts - 1
+  EXPECT_EQ(rpc_failures(metrics), 1u);
+  EXPECT_EQ(server.handled(), 4u);
+  EXPECT_EQ(t.stats().injected_drops, 1u + 4u);
   t.close();
 }
 

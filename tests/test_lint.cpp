@@ -343,6 +343,30 @@ TEST(LintRules, CatchesRpcSleepAndStorageIoUnderGuard) {
   EXPECT_EQ(hits[2]->token, "read");
 }
 
+TEST(LintRules, CatchesRoundCallUnderGuard) {
+  const auto r = lint_one("src/net/x.cpp",
+                          "void f() {\n"
+                          "  util::ScopedLock lock(mu_);\n"
+                          "  transport_->call_all(calls);\n"
+                          "}\n");
+  const auto hits = findings_for_rule(r, "blocking-under-lock");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0]->line, 3u);
+  EXPECT_EQ(hits[0]->token, "call_all");
+}
+
+TEST(LintRules, CatchesRpcRoundUnderGuard) {
+  const auto r = lint_one("src/ccm/x.cpp",
+                          "void f() {\n"
+                          "  util::UniqueLock lock(sh.mu);\n"
+                          "  rpc_all(calls);\n"
+                          "}\n");
+  const auto hits = findings_for_rule(r, "blocking-under-lock");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0]->line, 3u);
+  EXPECT_EQ(hits[0]->token, "rpc_all");
+}
+
 TEST(LintRules, UnlockSuspendsTheGuardScopeUntilRelock) {
   // The make_room_locked hand-off: rpc between unlock() and lock() is the
   // sanctioned pattern; the same call after re-acquisition is a finding.

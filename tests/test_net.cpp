@@ -8,11 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -899,6 +903,111 @@ TEST(TcpTransport, UnansweredCallTimesOutAndCounts) {
   t[1]->close();
 }
 
+// ---------------------------------------------------------------- rounds ----
+
+/// Two peers that answer a request only together: each holds its request
+/// until the other's request of the same phase has arrived, and withdraws
+/// it unanswered if that takes longer than `hold`.
+struct Rendezvous {
+  std::mutex m;
+  std::condition_variable cv;
+  std::map<std::uint32_t, int> arrived;  // by phase
+  int withdrawn = 0;
+};
+
+void paired_server(net::Transport& t, cache::NodeId node, Rendezvous& rv,
+                   std::chrono::milliseconds hold) {
+  while (auto env = t.receive(node)) {
+    const std::uint32_t phase = env->msg.count;
+    std::unique_lock lock(rv.m);
+    ++rv.arrived[phase];
+    rv.cv.notify_all();
+    if (rv.cv.wait_for(lock, hold, [&] { return rv.arrived[phase] >= 2; })) {
+      lock.unlock();
+      t.post(echo_reply(node, *env));
+    } else {
+      --rv.arrived[phase];
+      ++rv.withdrawn;
+      rv.cv.notify_all();
+    }
+  }
+}
+
+net::RoundCall barrier_call(cache::NodeId from, cache::NodeId to,
+                            std::uint32_t phase) {
+  net::RoundCall c;
+  c.request.msg = proto::Message::barrier(from, to, phase);
+  return c;
+}
+
+// A round posts every request before it waits for any reply. Two peers that
+// answer only once both requests have arrived answer a round; the same two
+// requests sent by call() one after the other both time out.
+TEST(TcpTransport, CallAllSendsEveryRequestBeforeWaiting) {
+  constexpr auto kTimeout = 300ms;
+  constexpr auto kHold = 600ms;  // outlasts a call's deadline
+  auto t = tcp_mesh(3, kTimeout);
+  Rendezvous rv;
+  std::thread server1([&] { paired_server(*t[1], 1, rv, kHold); });
+  std::thread server2([&] { paired_server(*t[2], 2, rv, kHold); });
+
+  std::array<net::RoundCall, 2> round = {barrier_call(0, 1, 1),
+                                         barrier_call(0, 2, 1)};
+  t[0]->call_all(round);
+  for (const net::RoundCall& c : round) {
+    EXPECT_FALSE(c.error) << c.error->what();
+    EXPECT_EQ(c.reply.msg.kind, proto::MsgKind::kBarrierReply);
+    EXPECT_EQ(c.reply.msg.count, 1u);
+  }
+  EXPECT_EQ(t[0]->calls_in_flight(), 0u);
+
+  for (int i = 0; i < 2; ++i) {
+    const auto to = static_cast<cache::NodeId>(1 + i);
+    try {
+      (void)t[0]->call(barrier_call(0, to, 2).request);
+      ADD_FAILURE() << "a lone request to node " << to << " was answered";
+    } catch (const net::TransportError& e) {
+      EXPECT_EQ(e.kind(), net::TransportError::Kind::kTimeout);
+    }
+    // The peer gives its request up before the next one is sent, so the
+    // two never meet.
+    std::unique_lock lock(rv.m);
+    EXPECT_TRUE(
+        rv.cv.wait_for(lock, 10s, [&] { return rv.withdrawn == i + 1; }));
+  }
+  EXPECT_EQ(t[0]->stats().rpc_timeouts, 2u);
+  EXPECT_EQ(t[0]->calls_in_flight(), 0u);
+  for (auto& tr : t) tr->close();
+  server1.join();
+  server2.join();
+}
+
+// A peer that drops mid-round fails only its own call, promptly, and the
+// round leaves no pending entry behind.
+TEST(TcpTransport, PeerDroppedMidRoundFailsOnlyItsCall) {
+  auto t = tcp_mesh(3);  // 30 s call deadline
+  std::thread server1([&] { echo_server(*t[1], 1); });
+  std::thread dropper([&] {
+    (void)t[2]->receive(2);  // the request arrived; never answer it
+    t[2]->close();
+  });
+  std::array<net::RoundCall, 2> round = {barrier_call(0, 2, 1),
+                                         barrier_call(0, 1, 2)};
+  const auto t_start = std::chrono::steady_clock::now();
+  t[0]->call_all(round);
+  EXPECT_LT(std::chrono::steady_clock::now() - t_start, 10s);
+  EXPECT_TRUE(round[0].error &&
+              round[0].error->kind() == net::TransportError::Kind::kPeerDown);
+  EXPECT_FALSE(round[1].error) << round[1].error->what();
+  EXPECT_EQ(round[1].reply.msg.count, 2u);
+  EXPECT_EQ(t[0]->calls_in_flight(), 0u);
+  EXPECT_EQ(t[0]->stats().rpcs, 1u);
+  dropper.join();
+  t[0]->close();
+  t[1]->close();
+  server1.join();
+}
+
 // ------------------------------------ cluster equality across runtimes ----
 
 std::vector<std::byte> fill_pattern(std::size_t n, std::uint8_t seed) {
@@ -1205,11 +1314,13 @@ std::vector<std::byte> file_bytes(const ccm::Storage& storage,
 /// them, or one per TCP transport.
 using Hosts = std::vector<ccm::CcmCluster*>;
 
+/// The `kind` calls `c` has sent.
+std::uint64_t rpc_calls(const ccm::CcmCluster& c, proto::MsgKind kind) {
+  return c.metrics().snapshot().rpc[static_cast<std::size_t>(kind)].calls;
+}
+
 std::uint64_t peer_fetches(const ccm::CcmCluster& c) {
-  return c.metrics()
-      .snapshot()
-      .rpc[static_cast<std::size_t>(proto::MsgKind::kPeerFetch)]
-      .calls;
+  return rpc_calls(c, proto::MsgKind::kPeerFetch);
 }
 
 std::uint64_t counter(const ccm::CcmCluster& c, obs::RtCounter k) {
@@ -1349,6 +1460,127 @@ TEST(FetchSets, CapKeepsEveryReplyFrameWithinLimits) {
               net::kDefaultMaxFrame)
         << "block " << block;
   }
+}
+
+
+// ------------------------------------------------------ rounds over TCP ----
+//
+// A round changes when a fan-out's calls go out, not how many there are: each
+// case sends exactly the calls the one-at-a-time protocol sent.
+
+constexpr std::uint32_t kRoundBlockBytes = 1024;
+constexpr std::uint32_t kRoundBlocks = 4;
+
+/// Three single-node clusters over TCP, one driver, two 4-block files.
+struct RoundCluster {
+  std::shared_ptr<ccm::BufferStorage> storage;
+  std::vector<std::unique_ptr<net::TcpTransport>> transports;
+  std::vector<std::unique_ptr<ccm::CcmCluster>> clusters;
+
+  RoundCluster() {
+    ccm::CcmConfig cfg;
+    cfg.nodes = 3;
+    cfg.block_bytes = kRoundBlockBytes;
+    cfg.capacity_bytes = 16 * kRoundBlockBytes;
+    storage = std::make_shared<ccm::BufferStorage>(
+        std::vector<std::uint32_t>(2, kRoundBlocks * kRoundBlockBytes));
+    for (std::uint8_t f = 0; f < 2; ++f) {
+      storage->write(f, 0, fill_pattern(kRoundBlocks * kRoundBlockBytes, f));
+    }
+    transports = tcp_mesh(3);
+    clusters = tcp_clusters(cfg, transports, storage);
+  }
+  ~RoundCluster() { shut_down(clusters); }
+  RoundCluster(const RoundCluster&) = delete;
+  RoundCluster& operator=(const RoundCluster&) = delete;
+
+  /// Every node reads `file` byte-exact against storage.
+  void expect_reads_exact(cache::FileId file) {
+    for (std::size_t n = 0; n < clusters.size(); ++n) {
+      const auto node = static_cast<cache::NodeId>(n);
+      EXPECT_EQ(clusters[n]->read(node, file), file_bytes(*storage, file))
+          << "read via node " << n;
+    }
+  }
+  void expect_consistent() {
+    for (std::size_t n = 0; n < clusters.size(); ++n) {
+      EXPECT_TRUE(clusters[n]->check_consistency()) << "node " << n;
+    }
+  }
+};
+
+// Node 1 writes two blocks mastered at node 2: per block one round carries
+// the sweep to nodes 0 and 2 and the ownership request to node 2. With
+// tracing on, the client spans of each round share their start.
+TEST(RoundsOverTcp, WriteSweepsAndMigratesInOneRound) {
+  RoundCluster rc;
+  ccm::CcmCluster& writer = *rc.clusters[1];
+  (void)rc.clusters[2]->read(2, 0);  // node 2 masters every block
+  writer.enable_runtime_trace();
+  const std::uint64_t sweeps =
+      rpc_calls(writer, proto::MsgKind::kInvalidateBlock);
+  const std::uint64_t migrations =
+      rpc_calls(writer, proto::MsgKind::kWriteOwnership);
+  writer.write(1, 0, kRoundBlockBytes, fill_pattern(2 * kRoundBlockBytes, 9));
+  EXPECT_EQ(rpc_calls(writer, proto::MsgKind::kInvalidateBlock) - sweeps,
+            2u * 2u);
+  EXPECT_EQ(rpc_calls(writer, proto::MsgKind::kWriteOwnership) - migrations,
+            2u);
+
+  std::map<std::uint64_t, int> round_starts;  // start -> client spans
+  for (const obs::RuntimeSpan& span : writer.runtime_spans().snapshot()) {
+    if (span.lane != obs::kLaneRpcClient) continue;
+    if (span.name != "invalidate-block" && span.name != "write-ownership") {
+      continue;
+    }
+    EXPECT_GE(span.end_ns, span.start_ns);
+    ++round_starts[span.start_ns];
+  }
+  ASSERT_EQ(round_starts.size(), 2u) << "one round per written block";
+  for (const auto& [start, spans] : round_starts) EXPECT_EQ(spans, 3);
+
+  rc.expect_reads_exact(0);
+  rc.expect_consistent();
+}
+
+// A read of a file mastered at nodes 0 and 2 fetches from both in one round.
+TEST(RoundsOverTcp, ReadFetchesFromTwoMastersInOneRound) {
+  RoundCluster rc;
+  const std::vector<std::byte> expected = file_bytes(*rc.storage, 1);
+  const std::span<const std::byte> all(expected);
+  EXPECT_TRUE(std::ranges::equal(
+      rc.clusters[0]->read_range(0, 1, 0, 2 * kRoundBlockBytes),
+      all.first(2 * kRoundBlockBytes)));
+  EXPECT_TRUE(std::ranges::equal(
+      rc.clusters[2]->read_range(2, 1, 2 * kRoundBlockBytes,
+                                 2 * kRoundBlockBytes),
+      all.subspan(2 * kRoundBlockBytes)));
+  ccm::CcmCluster& reader = *rc.clusters[1];
+  const std::uint64_t fetches = peer_fetches(reader);
+  const std::uint64_t hits = counter(reader, obs::RtCounter::kPeerHit);
+  EXPECT_EQ(reader.read(1, 1), expected);
+  EXPECT_EQ(peer_fetches(reader) - fetches, 2u);
+  EXPECT_EQ(counter(reader, obs::RtCounter::kPeerHit) - hits, kRoundBlocks);
+  rc.expect_reads_exact(1);
+  rc.expect_consistent();
+}
+
+// invalidate() sweeps every node, itself included, in one round; afterwards
+// no node still caches the file.
+TEST(RoundsOverTcp, InvalidateSweepsEveryNodeInOneRound) {
+  RoundCluster rc;
+  rc.expect_reads_exact(0);
+  ccm::CcmCluster& sweeper = *rc.clusters[1];
+  const std::uint64_t sweeps =
+      rpc_calls(sweeper, proto::MsgKind::kInvalidateFile);
+  sweeper.invalidate(0);
+  EXPECT_EQ(rpc_calls(sweeper, proto::MsgKind::kInvalidateFile) - sweeps, 3u);
+  for (std::size_t n = 0; n < rc.clusters.size(); ++n) {
+    EXPECT_EQ(rc.clusters[n]->cached_bytes(static_cast<cache::NodeId>(n)), 0u)
+        << "node " << n;
+  }
+  rc.expect_reads_exact(0);
+  rc.expect_consistent();
 }
 
 }  // namespace

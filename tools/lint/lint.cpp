@@ -39,8 +39,11 @@ const std::array<const char*, 3> kPrintTokens = {"cout", "printf", "puts"};
 const std::array<const char*, 6> kGuardTypes = {
     "lock_guard", "scoped_lock", "unique_lock",
     "shared_lock", "ScopedLock",  "UniqueLock"};
-const std::array<const char*, 6> kBlockingMembers = {
-    "send", "send_for", "receive", "receive_for", "call", "wait_ready"};
+const std::array<const char*, 7> kBlockingMembers = {
+    "send",        "send_for", "receive",   "receive_for",
+    "call",        "call_all", "wait_ready"};
+// Bare (non-member) RPC entry points: one call, or a round of them.
+const std::array<const char*, 2> kBlockingRpcs = {"rpc", "rpc_all"};
 const std::array<const char*, 2> kSleepCalls = {"sleep_for", "sleep_until"};
 const std::array<const char*, 3> kStorageReceivers = {"storage_", "storage",
                                                       "writable"};
@@ -908,8 +911,8 @@ Result lint(const std::vector<SourceFile>& files,
           std::string what;
           if (member && contains(kBlockingMembers, bt.text)) {
             what = "blocking '." + bt.text + "(...)'";
-          } else if (!member && bt.text == "rpc") {
-            what = "blocking RPC 'rpc(...)'";
+          } else if (!member && contains(kBlockingRpcs, bt.text)) {
+            what = "blocking RPC '" + bt.text + "(...)'";
           } else if (contains(kSleepCalls, bt.text)) {
             what = "sleep '" + bt.text + "(...)'";
           } else if (member && (bt.text == "read" || bt.text == "write") &&

@@ -26,7 +26,8 @@
 //                       libraries must return data, not print it; the
 //                       report/CLI layers are audited exceptions.
 //   blocking-under-lock blocking waits (Mailbox send/receive/*_for,
-//                       Transport::call / rpc(), storage read/write I/O,
+//                       Transport::call / call_all, rpc() / rpc_all(),
+//                       storage read/write I/O,
 //                       this_thread sleeps) inside a lock-guard scope in
 //                       src/ — a parked thread holding a mutex is the seed
 //                       of every convoy and deadlock the runtime's lock
