@@ -7,7 +7,7 @@
 #include "ccm/cluster.hpp"
 #include "ccm/storage.hpp"
 #include "cache/directory.hpp"
-#include "cache/lru.hpp"
+#include "cache/node_cache.hpp"
 #include "server/cluster.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
@@ -60,14 +60,15 @@ void BM_ServiceCenterThroughput(benchmark::State& state) {
 BENCHMARK(BM_ServiceCenterThroughput);
 
 void BM_LruTouch(benchmark::State& state) {
-  cache::LruList lru;
+  // A touch with the newest age: one index probe and a relink to the back.
+  cache::NodeCache c(4096ull * 8192, 8192);
   cache::LogicalClock clock;
   for (std::uint32_t i = 0; i < 4096; ++i) {
-    lru.insert(cache::BlockId{i, 0}, clock.next());
+    c.insert(cache::BlockId{i, 0}, /*master=*/true, clock.next());
   }
   std::uint32_t i = 0;
   for (auto _ : state) {
-    lru.touch(cache::BlockId{i++ & 4095, 0}, clock.next());
+    c.touch(cache::BlockId{i++ & 4095, 0}, clock.next());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -81,18 +82,19 @@ void BM_LruAgedInsert(benchmark::State& state) {
   const auto slots = static_cast<std::uint32_t>(state.range(0));
   const std::uint32_t band = slots / 8;
   constexpr std::uint64_t kYoung = 1ull << 40;
-  cache::LruList lru;
+  cache::NodeCache c(std::uint64_t{slots} * 8192, 8192);
   for (std::uint32_t i = band; i < slots; ++i) {
-    lru.insert(cache::BlockId{i, 0}, kYoung + i);
+    c.insert(cache::BlockId{i, 0}, /*master=*/true, kYoung + i);
   }
   std::uint64_t clock = 0;
   for (std::uint32_t i = 0; i < band; ++i) {
-    lru.insert(cache::BlockId{i, 0}, ++clock);
+    c.insert(cache::BlockId{i, 0}, /*master=*/true, ++clock);
   }
   sim::Rng rng(4);
   for (auto _ : state) {
-    const auto victim = lru.pop_oldest();
-    lru.insert(victim.block, ++clock + rng.uniform_int(band));
+    const auto victim = *c.oldest();
+    c.erase(victim.block);
+    c.insert(victim.block, /*master=*/true, ++clock + rng.uniform_int(band));
     benchmark::DoNotOptimize(victim);
   }
   state.SetItemsProcessed(state.iterations());

@@ -13,6 +13,8 @@ build:
     the fresh report (a field silently dropped from the JSON breaks every
     downstream consumer of the artifact)
   * a workload-config mismatch, which would make every delta meaningless
+  * a `metrics.version` mismatch: the metrics block's schema changed, so the
+    pin is stale and must be re-pinned from the current runtime
 
 Exit codes: 0 ok, 1 check failed, 2 usage/IO error.
 """
@@ -67,6 +69,12 @@ def main(argv):
     flat_base, flat_fresh = {}, {}
     walk("", base, flat_base)
     walk("", fresh, flat_fresh)
+    if flat_base.get("metrics.version") != flat_fresh.get("metrics.version"):
+        failures.append(
+            f"metrics.version mismatch: baseline "
+            f"{flat_base.get('metrics.version')} vs fresh "
+            f"{flat_fresh.get('metrics.version')} (re-pin the baseline)"
+        )
     missing = sorted(k for k in flat_base if k not in flat_fresh)
     if missing:
         failures.append(

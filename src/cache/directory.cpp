@@ -8,8 +8,8 @@
 namespace coop::cache {
 
 NodeId PerfectDirectory::lookup(const BlockId& b) const {
-  const auto it = map_.find(b);
-  return it == map_.end() ? kInvalidNode : it->second;
+  const NodeId* n = map_.find(b);
+  return n == nullptr ? kInvalidNode : *n;
 }
 
 void PerfectDirectory::set_master(const BlockId& b, NodeId n) {
@@ -23,14 +23,10 @@ std::vector<BlockId> PerfectDirectory::erase_node(NodeId n) {
   std::vector<BlockId> erased;
   // Order-insensitive: the caller treats the result as a set (every block's
   // file is epoch-fenced; no per-entry ordering reaches outputs).
-  for (auto it = map_.begin(); it != map_.end();) {  // ccm-lint: allow(unordered-iter)
-    if (it->second == n) {
-      erased.push_back(it->first);
-      it = map_.erase(it);
-    } else {
-      ++it;
-    }
+  for (const auto& [b, holder] : map_) {  // ccm-lint: allow(unordered-iter)
+    if (holder == n) erased.push_back(b);
   }
+  for (const BlockId& b : erased) map_.erase(b);
   return erased;
 }
 
@@ -48,16 +44,15 @@ HintedDirectory::HintedDirectory(std::size_t nodes, std::uint32_t staleness_lag)
 NodeId HintedDirectory::lookup(NodeId observer, const BlockId& b) const {
   assert(observer < hints_.size());
   ++lookups_;
-  const auto& map = hints_[observer].map;
-  const auto it = map.find(b);
-  const NodeId hinted = it == map.end() ? kInvalidNode : it->second;
+  const NodeId* hint = hints_[observer].map.find(b);
+  const NodeId hinted = hint == nullptr ? kInvalidNode : *hint;
   if (hinted == truth(b)) ++correct_;
   return hinted;
 }
 
 NodeId HintedDirectory::truth(const BlockId& b) const {
-  const auto it = truth_.find(b);
-  return it == truth_.end() ? kInvalidNode : it->second.node;
+  const TruthEntry* t = truth_.find(b);
+  return t == nullptr ? kInvalidNode : t->node;
 }
 
 void HintedDirectory::set_master(const BlockId& b, NodeId n, NodeId observer) {
@@ -73,9 +68,7 @@ void HintedDirectory::set_master(const BlockId& b, NodeId n, NodeId observer) {
 }
 
 void HintedDirectory::erase_master(const BlockId& b, NodeId observer) {
-  const auto it = truth_.find(b);
-  if (it == truth_.end()) return;
-  truth_.erase(it);
+  if (!truth_.erase(b)) return;
   last_broadcast_.erase(b);
   hints_[observer].map.erase(b);
   // Other nodes keep a dangling hint until they discover it is wrong.
@@ -92,12 +85,12 @@ void HintedDirectory::refresh(NodeId observer, const BlockId& b) {
 }
 
 void HintedDirectory::propagate_if_lagged(const BlockId& b) {
-  const auto it = truth_.find(b);
-  assert(it != truth_.end());
+  const TruthEntry* t = truth_.find(b);
+  assert(t != nullptr);
   auto& broadcast = last_broadcast_[b];
-  if (it->second.version - broadcast <= staleness_lag_) return;
-  for (auto& h : hints_) h.map[b] = it->second.node;
-  broadcast = it->second.version;
+  if (t->version - broadcast <= staleness_lag_) return;
+  for (auto& h : hints_) h.map[b] = t->node;
+  broadcast = t->version;
 }
 
 double HintedDirectory::accuracy() const {
@@ -118,16 +111,16 @@ std::size_t HintedDirectory::audit(const char* context) const {
                   std::to_string(hints_.size()) + ctx);
   }
   for (const auto& [block, version] : last_broadcast_) {  // ccm-lint: allow(unordered-iter)
-    const auto it = truth_.find(block);
-    CCM_AUDIT(it != truth_.end(), "dir-broadcast-live",
+    const TruthEntry* t = truth_.find(block);
+    CCM_AUDIT(t != nullptr, "dir-broadcast-live",
               "broadcast bookkeeping for file " + std::to_string(block.file) +
                   " block " + std::to_string(block.index) +
                   " outlived its truth entry" + ctx);
-    if (it != truth_.end()) {
-      CCM_AUDIT(version <= it->second.version, "dir-broadcast-version",
+    if (t != nullptr) {
+      CCM_AUDIT(version <= t->version, "dir-broadcast-version",
                 "broadcast version " + std::to_string(version) +
                     " ahead of truth version " +
-                    std::to_string(it->second.version) + " for file " +
+                    std::to_string(t->version) + " for file " +
                     std::to_string(block.file) + ctx);
     }
   }

@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "cache/block_table.hpp"
 #include "cache/types.hpp"
 
 namespace coop::cache {
@@ -42,7 +42,7 @@ class PerfectDirectory {
   [[nodiscard]] std::size_t size() const { return map_.size(); }
 
  private:
-  std::unordered_map<BlockId, NodeId, BlockIdHash> map_;
+  BlockTable<NodeId> map_;
 };
 
 /// Hint-based directory: each node keeps its own possibly-stale view.
@@ -86,7 +86,7 @@ class HintedDirectory {
  private:
   friend struct HintedDirectoryTestPeer;  // test-only corruption (audit tests)
   struct Hints {
-    std::unordered_map<BlockId, NodeId, BlockIdHash> map;
+    BlockTable<NodeId> map;
   };
   struct TruthEntry {
     NodeId node = kInvalidNode;
@@ -97,8 +97,8 @@ class HintedDirectory {
 
   std::uint32_t staleness_lag_;
   std::vector<Hints> hints_;
-  std::unordered_map<BlockId, TruthEntry, BlockIdHash> truth_;
-  std::unordered_map<BlockId, std::uint32_t, BlockIdHash> last_broadcast_;
+  BlockTable<TruthEntry> truth_;
+  BlockTable<std::uint32_t> last_broadcast_;
   mutable std::uint64_t lookups_ = 0;
   mutable std::uint64_t correct_ = 0;
 };

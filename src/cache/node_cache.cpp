@@ -10,79 +10,90 @@ NodeCache::NodeCache(std::uint64_t capacity_bytes, std::uint32_t block_bytes)
   assert(block_bytes > 0);
 }
 
+const NodeCache::Entry& NodeCache::entry(const BlockId& b) const {
+  const Handle* h = index_.find(b);
+  assert(h != nullptr);
+  return pool_[*h];
+}
+
+const NodeCache::Entry* NodeCache::oldest_entry() const {
+  if (empty()) return nullptr;
+  if (masters_.empty()) return &pool_[copies_.oldest(pool_)];
+  const Entry& m = pool_[masters_.oldest(pool_)];
+  if (copies_.empty()) return &m;
+  const Entry& c = pool_[copies_.oldest(pool_)];
+  return m.age <= c.age ? &m : &c;
+}
+
 std::optional<std::uint64_t> NodeCache::oldest_age() const {
-  if (empty()) return std::nullopt;
-  if (masters_.empty()) return copies_.oldest_age();
-  if (copies_.empty()) return masters_.oldest_age();
-  return std::min(masters_.oldest_age(), copies_.oldest_age());
+  const Entry* e = oldest_entry();
+  if (e == nullptr) return std::nullopt;
+  return e->age;
 }
 
-std::optional<LruList::Entry> NodeCache::oldest() const {
-  if (empty()) return std::nullopt;
-  if (masters_.empty()) return copies_.oldest();
-  if (copies_.empty()) return masters_.oldest();
-  return masters_.oldest_age() <= copies_.oldest_age() ? masters_.oldest()
-                                                       : copies_.oldest();
+std::optional<NodeCache::Entry> NodeCache::oldest() const {
+  const Entry* e = oldest_entry();
+  if (e == nullptr) return std::nullopt;
+  return *e;
 }
 
-bool NodeCache::oldest_is_master() const {
-  assert(!empty());
-  if (masters_.empty()) return false;
-  if (copies_.empty()) return true;
-  return masters_.oldest_age() <= copies_.oldest_age();
-}
-
-std::optional<LruList::Entry> NodeCache::oldest_copy() const {
+std::optional<NodeCache::Entry> NodeCache::oldest_copy() const {
   if (copies_.empty()) return std::nullopt;
-  return copies_.oldest();
-}
-
-std::uint32_t NodeCache::slots_of(const BlockId& b) const {
-  assert(contains(b));
-  const auto it = wide_entries_.find(b);
-  return it == wide_entries_.end() ? 1 : it->second;
+  return pool_[copies_.oldest(pool_)];
 }
 
 void NodeCache::insert(const BlockId& b, bool master, std::uint64_t age,
                        std::uint32_t slots) {
-  assert(!contains(b));
   assert(slots >= 1);
   assert(used_slots_ + slots <= capacity_blocks_ || empty());
-  (master ? masters_ : copies_).insert(b, age);
-  if (slots > 1) wide_entries_.emplace(b, slots);
+  Handle h = free_;
+  if (h != kNoHandle) {
+    free_ = pool_[h].next;
+  } else {
+    h = static_cast<Handle>(pool_.size());
+    pool_.emplace_back();
+  }
+  const bool inserted = index_.try_emplace(b, h).second;
+  assert(inserted);
+  (void)inserted;
+  Entry& e = pool_[h];
+  e.block = b;
+  e.slots = slots;
+  e.master = master;
+  order_of(e).insert(pool_, h, age);
   used_slots_ += slots;
 }
 
 void NodeCache::touch(const BlockId& b, std::uint64_t age) {
-  if (masters_.contains(b)) {
-    masters_.touch(b, age);
-  } else {
-    copies_.touch(b, age);
-  }
+  const Handle* h = index_.find(b);
+  assert(h != nullptr);
+  order_of(pool_[*h]).touch(pool_, *h, age);
 }
 
 bool NodeCache::erase(const BlockId& b) {
-  used_slots_ -= slots_of(b);
-  wide_entries_.erase(b);
-  if (masters_.erase(b)) return true;
-  const bool erased = copies_.erase(b);
-  assert(erased);
-  (void)erased;
-  return false;
+  const auto h = index_.take(b);
+  assert(h.has_value());
+  if (!h) return false;
+  Entry& e = pool_[*h];
+  order_of(e).erase(pool_, *h);
+  used_slots_ -= e.slots;
+  e.next = free_;
+  free_ = *h;
+  return e.master;
 }
 
-void NodeCache::promote_to_master(const BlockId& b) {
-  assert(copies_.contains(b));
-  const std::uint64_t age = copies_.age_of(b);
-  copies_.erase(b);
-  masters_.insert(b, age);
+void NodeCache::set_master(const BlockId& b, bool master) {
+  const Handle* h = index_.find(b);
+  assert(h != nullptr);
+  Entry& e = pool_[*h];
+  assert(e.master != master);
+  order_of(e).erase(pool_, *h);
+  e.master = master;
+  order_of(e).insert(pool_, *h, e.age);
 }
 
-void NodeCache::demote_to_copy(const BlockId& b) {
-  assert(masters_.contains(b));
-  const std::uint64_t age = masters_.age_of(b);
-  masters_.erase(b);
-  copies_.insert(b, age);
-}
+void NodeCache::promote_to_master(const BlockId& b) { set_master(b, true); }
+
+void NodeCache::demote_to_copy(const BlockId& b) { set_master(b, false); }
 
 }  // namespace coop::cache

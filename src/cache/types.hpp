@@ -3,7 +3,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <functional>
 
 namespace coop::cache {
 
@@ -20,19 +19,11 @@ struct BlockId {
   friend auto operator<=>(const BlockId&, const BlockId&) = default;
 };
 
-struct BlockIdHash {
-  std::size_t operator()(const BlockId& b) const noexcept {
-    // 64-bit mix of (file, index).
-    std::uint64_t x =
-        (static_cast<std::uint64_t>(b.file) << 32) | b.index;
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ULL;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x);
-  }
-};
+/// The packed 64-bit key `(file << 32) | index`: what cache::BlockTable
+/// hashes and the runtime's hint slots store.
+constexpr std::uint64_t block_key(const BlockId& b) {
+  return (static_cast<std::uint64_t>(b.file) << 32) | b.index;
+}
 
 /// Monotonic logical timestamps used as LRU ages: larger is younger.
 class LogicalClock {

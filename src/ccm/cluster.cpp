@@ -360,19 +360,19 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
         const cache::BlockId block{msg.block.file, msg.block.index + i};
         if (block.index < msg.block.index) break;  // past the last index
         if (!sh.state.is_master(block)) continue;  // not (or no longer) ours
-        const auto it = sh.store.find(block);
-        assert(it != sh.store.end());
+        const BlockPtr* data = sh.store.find(block);
+        assert(data != nullptr);
         // Only promise bytes that exist: a master still being faulted in
         // must not leave this node as a reply payload. A framed transport
         // would hold the reply until the producer finishes — and the
         // producer may itself be blocked on a fetch from the requester's
         // node, deadlocking both. A miss sends the requester back to the
         // directory; by its next attempt the fill has finished.
-        if (!it->second->is_ready()) continue;
+        if (!(*data)->is_ready()) continue;
         sh.state.touch(block, tick());
         hits |= bit;
-        bytes += it->second->bytes.size();
-        payloads.push_back(it->second);
+        bytes += (*data)->bytes.size();
+        payloads.push_back(*data);
       }
       if (hits != 0) {
         sh.state.publish();
@@ -457,10 +457,9 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
     case proto::MsgKind::kWriteOwnership: {
       util::UniqueLock lock(sh.mu);
       if (sh.state.relinquish_master(msg.block)) {
-        const auto it = sh.store.find(msg.block);
-        assert(it != sh.store.end());
-        BlockPtr data = std::move(it->second);
-        sh.store.erase(it);
+        auto taken = sh.store.take(msg.block);
+        assert(taken.has_value());
+        BlockPtr data = std::move(*taken);
         sh.state.publish();
         CCM_AUDIT_HOOK(audit_shard_locked(sh, self, "write_ownership"));
         // Same rule as kPeerFetch: never ship a buffer whose producer has
@@ -676,10 +675,9 @@ void CcmCluster::make_room_locked(util::UniqueLock<util::CountingMutex>& lock,
     // A master earned its second chance: ship it to a peer. The entry is
     // already erased locally; unregister it in the directory first so no
     // reader chases a block that is in flight.
-    const auto it = sh.store.find(pf->block);
-    assert(it != sh.store.end());
-    BlockPtr data = std::move(it->second);
-    sh.store.erase(it);
+    auto taken = sh.store.take(pf->block);
+    assert(taken.has_value());
+    BlockPtr data = std::move(*taken);
     const cache::NodeId to =
         proto::pick_forward_target(node, config_.nodes, view_);
     if (to == cache::kInvalidNode || !data->is_ready()) {
@@ -740,8 +738,7 @@ constexpr std::uint64_t kHintEpochMask = (1ull << 48) - 1;
 std::optional<CcmCluster::Hint> CcmCluster::hint_probe(
     const cache::BlockId& b) const {
   const HintSlot& slot = hints_[hint_index(b)];
-  const std::uint64_t key =
-      ((static_cast<std::uint64_t>(b.file) << 32) | b.index) + 1;
+  const std::uint64_t key = cache::block_key(b) + 1;
   if (slot.key.load(std::memory_order_relaxed) != key) return std::nullopt;
   const std::uint64_t val = slot.val.load(std::memory_order_relaxed);
   // key/val are independent atomics: this pair may be torn against a
@@ -754,8 +751,7 @@ std::optional<CcmCluster::Hint> CcmCluster::hint_probe(
 void CcmCluster::hint_publish(const cache::BlockId& b, cache::NodeId master,
                               std::uint64_t epoch) {
   HintSlot& slot = hints_[hint_index(b)];
-  const std::uint64_t key =
-      ((static_cast<std::uint64_t>(b.file) << 32) | b.index) + 1;
+  const std::uint64_t key = cache::block_key(b) + 1;
   slot.key.store(key, std::memory_order_relaxed);
   slot.val.store((static_cast<std::uint64_t>(master) << 48) |
                      (epoch & kHintEpochMask),
@@ -764,8 +760,7 @@ void CcmCluster::hint_publish(const cache::BlockId& b, cache::NodeId master,
 
 void CcmCluster::hint_clear(const cache::BlockId& b) {
   HintSlot& slot = hints_[hint_index(b)];
-  const std::uint64_t key =
-      ((static_cast<std::uint64_t>(b.file) << 32) | b.index) + 1;
+  const std::uint64_t key = cache::block_key(b) + 1;
   // Conditional: don't wipe a colliding block's hint.
   std::uint64_t cur = slot.key.load(std::memory_order_relaxed);
   if (cur == key) slot.key.compare_exchange_strong(cur, 0,
@@ -837,10 +832,10 @@ void CcmCluster::acquire_run(
       bool any = false;
       for (const std::uint32_t b : want) {
         const cache::BlockId block{file, b};
-        if (const auto it = sh.store.find(block); it != sh.store.end()) {
+        if (const BlockPtr* hit = sh.store.find(block)) {
           sh.state.touch(block, tick());
           metrics_.incr(obs::RtCounter::kLocalHit);
-          slot_of(b) = it->second;
+          slot_of(b) = *hit;
           any = true;
         } else {
           Pending p;
@@ -929,10 +924,10 @@ void CcmCluster::acquire_run(
         for (std::size_t j = at; j < end; ++j) {
           const std::uint32_t b = pending[to_claim[j]].index;
           const cache::BlockId block{file, b};
-          if (const auto it = sh.store.find(block); it != sh.store.end()) {
+          if (const BlockPtr* hit = sh.store.find(block)) {
             sh.state.touch(block, tick());
             metrics_.incr(obs::RtCounter::kLocalHit);
-            slot_of(b) = it->second;
+            slot_of(b) = *hit;
           } else {
             claimed.push_back(b);
             claims.push_back({proto::DirBatchOp::kTryClaim, block});
@@ -951,7 +946,7 @@ void CcmCluster::acquire_run(
           metrics_.incr(obs::RtCounter::kDiskRead);
           sh.state.insert_master(block, tick());
           auto data = std::make_shared<BlockData>();
-          sh.store.emplace(block, data);
+          sh.store.try_emplace(block, data);
           to_read.emplace_back(block, data);
           slot_of(b) = data;
         }
@@ -1053,11 +1048,11 @@ void CcmCluster::acquire_run(
         for (std::size_t j = at; j < end; ++j) {
           Pending& p = pending[fetched[j]];
           const cache::BlockId block{file, p.index};
-          if (const auto it = sh.store.find(block); it != sh.store.end()) {
+          if (const BlockPtr* hit = sh.store.find(block)) {
             // Another operation via this node cached it while we fetched.
             sh.state.touch(block, tick());
             metrics_.incr(obs::RtCounter::kPeerHit);
-            slot_of(p.index) = it->second;
+            slot_of(p.index) = *hit;
           } else {
             insertable.push_back(fetched[j]);
           }
@@ -1070,10 +1065,10 @@ void CcmCluster::acquire_run(
         for (const std::size_t i : insertable) {
           Pending& p = pending[i];
           const cache::BlockId block{file, p.index};
-          if (const auto it = sh.store.find(block); it != sh.store.end()) {
+          if (const BlockPtr* hit = sh.store.find(block)) {
             sh.state.touch(block, tick());
             metrics_.incr(obs::RtCounter::kPeerHit);
-            slot_of(p.index) = it->second;
+            slot_of(p.index) = *hit;
             continue;
           }
           metrics_.incr(obs::RtCounter::kPeerHit);

@@ -63,9 +63,9 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
+#include "cache/block_table.hpp"
 #include "cache/policy.hpp"
 #include "ccm/directory_client.hpp"
 #include "ccm/storage.hpp"
@@ -299,8 +299,7 @@ class CcmCluster {
   // process both ends of a transfer share the same bytes.
   using BlockData = net::BlockData;
   using BlockPtr = net::BlockPtr;
-  using Store =
-      std::unordered_map<cache::BlockId, BlockPtr, cache::BlockIdHash>;
+  using Store = cache::BlockTable<BlockPtr>;
 
   /// One node's share of the runtime: its policy slice, byte store, and the
   /// lock that guards both.
@@ -441,7 +440,7 @@ class CcmCluster {
   // kHinted's staleness model lives in the DirectoryService and layering a
   // second hint tier would skew its accuracy accounting.
   struct HintSlot {
-    std::atomic<std::uint64_t> key{0};  // (file<<32 | index) + 1; 0 = empty
+    std::atomic<std::uint64_t> key{0};  // block_key + 1; 0 = empty
     std::atomic<std::uint64_t> val{0};  // master<<48 | epoch (low 48 bits)
   };
   static constexpr std::size_t kHintSlots = 4096;  // power of two
@@ -451,10 +450,10 @@ class CcmCluster {
     std::uint64_t epoch;  // low 48 bits of the observed file epoch
   };
   static std::size_t hint_index(const cache::BlockId& b) {
-    // Same mix the block-id hash uses; cheap and good enough for slots.
-    const std::uint64_t k = (static_cast<std::uint64_t>(b.file) << 32) |
-                            b.index;
-    return static_cast<std::size_t>((k * 0x9E3779B97F4A7C15ull) >> 32) &
+    // A Fibonacci multiply of the packed key; cheap and good enough for
+    // slots.
+    return static_cast<std::size_t>(
+               (cache::block_key(b) * 0x9E3779B97F4A7C15ull) >> 32) &
            (kHintSlots - 1);
   }
   [[nodiscard]] std::optional<Hint> hint_probe(const cache::BlockId& b) const;

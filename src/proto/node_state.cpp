@@ -76,7 +76,7 @@ std::optional<PendingForward> NodeState::evict_one(
 
   const auto oldest = cache_.oldest();
   assert(oldest.has_value());
-  if (!cache_.is_master(oldest->block)) {
+  if (!oldest->master) {
     drop_entry(oldest->block, drops);
     return std::nullopt;
   }
@@ -88,7 +88,7 @@ std::optional<PendingForward> NodeState::evict_one(
     return std::nullopt;
   }
   ++stats_.forwards_attempted;
-  PendingForward pf{oldest->block, oldest->age, cache_.slots_of(oldest->block)};
+  PendingForward pf{oldest->block, oldest->age, oldest->slots};
   cache_.erase(oldest->block);
   return pf;
 }
@@ -159,8 +159,8 @@ std::size_t NodeState::audit(const char* context) const {
                 std::to_string(cache_.capacity_blocks()) + " blocks" + ctx);
   // Slot accounting must agree with the entry books.
   std::uint64_t slots = 0;
-  for (const auto& e : cache_.masters()) slots += cache_.slots_of(e.block);
-  for (const auto& e : cache_.copies()) slots += cache_.slots_of(e.block);
+  for (const auto& e : cache_.masters()) slots += e.slots;
+  for (const auto& e : cache_.copies()) slots += e.slots;
   CCM_AUDIT(slots == cache_.used_blocks(), "cache-slot-accounting",
             "node " + std::to_string(id_) + " books " +
                 std::to_string(cache_.used_blocks()) +

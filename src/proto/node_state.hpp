@@ -158,6 +158,8 @@ class NodeState {
   }
 
  private:
+  friend struct NodeStateTestPeer;  // test-only corruption (audit tests)
+
   /// One eviction step: a drop, or the decision to forward the oldest
   /// master.
   [[nodiscard]] std::optional<PendingForward> evict_one(

@@ -24,6 +24,10 @@ struct DirectoryServiceTestPeer {
   static cache::HintedDirectory& hints(DirectoryService& d) { return d.hints_; }
 };
 
+struct NodeStateTestPeer {
+  static cache::NodeCache& cache(NodeState& s) { return s.cache_; }
+};
+
 }  // namespace coop::proto
 
 namespace coop::cache {
@@ -35,6 +39,10 @@ struct ClusterCacheTestPeer {
   static proto::DirectoryService& directory(ClusterCache& cc) {
     return cc.dir_;
   }
+};
+
+struct NodeCacheTestPeer {
+  static std::uint64_t& used_slots(NodeCache& c) { return c.used_slots_; }
 };
 
 struct HintedDirectoryTestPeer {
@@ -168,10 +176,12 @@ TEST(ClusterCacheAudit, OverOccupancyTrips) {
 TEST(ClusterCacheAudit, SlotAccountingDriftTrips) {
   ClusterCache cc(cc_config(2, 8));
   cc.access(0, 1, 2 * kBlock);
-  // Erasing a block that was never cached silently decrements the used-slot
-  // book (the assert guarding the precondition is compiled out) — the books
-  // no longer cover the entries.
-  ClusterCacheTestPeer::node(cc, 0).erase_entry(BlockId{42, 0});
+  // The used-slot book loses a slot that an entry still covers — the books
+  // no longer match the entries.
+  NodeCache& cache =
+      proto::NodeStateTestPeer::cache(ClusterCacheTestPeer::node(cc, 0));
+  ASSERT_EQ(cache.used_blocks(), 2u);
+  NodeCacheTestPeer::used_slots(cache) -= 1;
   coop::audit::Recorder rec;
   EXPECT_GT(cc.audit("corrupt"), 0u);
   EXPECT_TRUE(rec.saw("cache-slot-accounting"));
@@ -357,7 +367,7 @@ TEST(CcmClusterAudit, MissingStoreEntryTrips) {
   // Drop one cached block's bytes while the policy still lists it.
   auto& store = CcmClusterTestPeer::store(cluster, 0);
   ASSERT_FALSE(store.empty());
-  store.erase(store.begin());  // ccm-lint: allow(unordered-iter)
+  store.erase(store.begin()->block);  // ccm-lint: allow(unordered-iter)
   coop::audit::Recorder rec;
   EXPECT_GT(cluster.audit("corrupt"), 0u);
   EXPECT_TRUE(rec.saw("ccm-store-policy-size"));
@@ -369,7 +379,7 @@ TEST(CcmClusterAudit, OrphanedBytesTrip) {
   // Bytes appear for a block the policy has never heard of.
   auto& store = CcmClusterTestPeer::store(cluster, 0);
   const auto ghost = cache::BlockId{2, 0};
-  store[ghost] = store.begin()->second;  // ccm-lint: allow(unordered-iter)
+  store[ghost] = store.begin()->value;  // ccm-lint: allow(unordered-iter)
   coop::audit::Recorder rec;
   EXPECT_GT(cluster.audit("corrupt"), 0u);
   EXPECT_TRUE(rec.saw("ccm-store-orphan"));
@@ -380,7 +390,7 @@ TEST(CcmClusterAudit, NullBlockPointerTrips) {
   (void)cluster.read(0, 0);
   auto& store = CcmClusterTestPeer::store(cluster, 0);
   ASSERT_FALSE(store.empty());
-  store.begin()->second = nullptr;  // ccm-lint: allow(unordered-iter)
+  *store.find(store.begin()->block) = nullptr;  // ccm-lint: allow(unordered-iter)
   coop::audit::Recorder rec;
   EXPECT_GT(cluster.audit("corrupt"), 0u);
   EXPECT_TRUE(rec.saw("ccm-store-null"));
@@ -397,7 +407,7 @@ TEST(CcmClusterAudit, AutoHooksCatchCorruptionOnNextEvent) {
   (void)cluster.read(0, 0);
   auto& store = CcmClusterTestPeer::store(cluster, 0);
   ASSERT_FALSE(store.empty());
-  store.begin()->second = nullptr;  // ccm-lint: allow(unordered-iter)
+  *store.find(store.begin()->block) = nullptr;  // ccm-lint: allow(unordered-iter)
   coop::audit::Recorder rec;
   (void)cluster.read(0, 1);  // unrelated event on the same shard
   EXPECT_TRUE(rec.saw("ccm-store-null"));

@@ -156,7 +156,7 @@ TEST(CoopCache, ForwardedMasterKeepsItsAge) {
   ASSERT_EQ(r.forwards.size(), 1u);
   EXPECT_TRUE(r.forwards[0].accepted);
   EXPECT_TRUE(cc.node(1).is_master(BlockId{0, 0}));
-  EXPECT_EQ(cc.node(1).masters().age_of(BlockId{0, 0}), 3u);
+  EXPECT_EQ(cc.node(1).age_of(BlockId{0, 0}), 3u);
 }
 
 TEST(CoopCache, ForwardedBlockDroppedIfYoungestAtDestination) {

@@ -100,6 +100,28 @@ TEST(LintRules, CatchesExplicitBeginWalk) {
   EXPECT_EQ(hits[0]->token, "seen_");
 }
 
+TEST(LintRules, CatchesIterationOverBlockTable) {
+  // cache::BlockTable iterates in slot-array (hash) order, like the std
+  // unordered containers: a range-for over a member and a .begin() walk
+  // through an annotated alias member (the runtime's shard Store) trip.
+  const auto r = lint_one(
+      "src/x.cpp",
+      "coop::cache::BlockTable<int> owners_;\n"
+      "using Store = cache::BlockTable<BlockPtr>;\n"
+      "Store store GUARDED_BY(mu);\n"
+      "int sum() {\n"
+      "  int s = 0;\n"
+      "  for (const auto& [b, v] : owners_) s += v;\n"
+      "  return s + (store.begin() == store.end());\n"
+      "}\n");
+  const auto hits = findings_for_rule(r, "unordered-iter");
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(hits[0]->line, 6u);
+  EXPECT_EQ(hits[0]->token, "owners_");
+  EXPECT_EQ(hits[1]->line, 7u);
+  EXPECT_EQ(hits[1]->token, "store");
+}
+
 TEST(LintRules, HeaderMemberTaintsIterationInOtherFile) {
   std::vector<Suppression> none;
   const auto r = lint(

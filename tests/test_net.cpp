@@ -62,8 +62,8 @@ struct CcmClusterTestPeer {
                               const cache::BlockId& b) {
     CcmCluster::Shard& sh = *c.shards_[n];
     util::UniqueLock lock(sh.mu);
-    const auto it = sh.store.find(b);
-    return it == sh.store.end() ? nullptr : it->second;
+    const net::BlockPtr* data = sh.store.find(b);
+    return data == nullptr ? nullptr : *data;
   }
   /// Puts `data` in place of node `n`'s buffer for `b`; returns the old one.
   static net::BlockPtr swap_cached(const CcmCluster& c, std::size_t n,
@@ -71,7 +71,9 @@ struct CcmClusterTestPeer {
                                    net::BlockPtr data) {
     CcmCluster::Shard& sh = *c.shards_[n];
     util::UniqueLock lock(sh.mu);
-    std::swap(sh.store.at(b), data);
+    net::BlockPtr* cached = sh.store.find(b);
+    if (cached == nullptr) throw std::out_of_range("swap_cached: not cached");
+    std::swap(*cached, data);
     return data;
   }
   /// Points the hint slot of `b` at `master`.

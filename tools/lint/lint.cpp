@@ -18,9 +18,11 @@ bool ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
-const std::array<const char*, 4> kUnorderedTypes = {
+// Containers whose iteration order follows hashes, not keys: the std ones
+// and the flat cache::BlockTable.
+const std::array<const char*, 5> kUnorderedTypes = {
     "unordered_map", "unordered_set", "unordered_multimap",
-    "unordered_multiset"};
+    "unordered_multiset", "BlockTable"};
 
 const std::array<const char*, 5> kRandCalls = {"rand", "srand", "drand48",
                                                "lrand48", "mrand48"};
@@ -168,6 +170,20 @@ bool is_unordered_type_token(const Corpus& c, const std::string& t) {
   return contains(kUnorderedTypes, t) || c.aliases.count(t) > 0;
 }
 
+/// True when a thread-safety annotation (`Store store GUARDED_BY(mu);`)
+/// starts at `i`, so the identifier before it is a declarator.
+bool annotation_at(const std::string& code, std::size_t i) {
+  for (const char* a : {"GUARDED_BY", "PT_GUARDED_BY"}) {
+    const std::string word(a);
+    if (code.compare(i, word.size(), word) == 0 &&
+        skip_spaces(code, i + word.size()) < code.size() &&
+        code[skip_spaces(code, i + word.size())] == '(') {
+      return true;
+    }
+  }
+  return false;
+}
+
 /// From an unordered-type anchor token, extracts and taints the declared
 /// name, handling qualified tails (::iterator), pointers/refs, and anchors
 /// nested inside an enclosing template argument list
@@ -218,7 +234,7 @@ void taint_from_anchor(const std::string& code, const Token& tok,
       if (after < code.size() &&
           (code[after] == ';' || code[after] == '=' || code[after] == '{' ||
            code[after] == ',' || code[after] == ')' ||
-           code[after] == '(')) {
+           code[after] == '(' || annotation_at(code, after))) {
         scope.tainted.insert(name);
       }
     }
